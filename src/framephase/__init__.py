@@ -6,6 +6,29 @@ witnesses when they do not, and recover vectors from magnitude
 measurements (exactly over the reals, heuristically over the complexes).
 """
 
+import os as _os
+import sys as _sys
+
+
+def _started_as_cli() -> bool:
+    """Whether this interpreter was started to run the framephase command,
+    as ``python -m framephase`` or as the installed ``framephase`` script."""
+    argv = list(getattr(_sys, "orig_argv", ()))
+    if "-m" in argv[1:-1]:
+        return argv[argv.index("-m", 1) + 1].split(".")[0] == "framephase"
+    return bool(_sys.argv) and _os.path.basename(_sys.argv[0]) == "framephase"
+
+
+# A CLI command is one short process on desk-scale matrices, where BLAS
+# worker threads speed nothing up. Starting their pools (numpy's at import,
+# scipy's when reconstruct_real loads it) costs little on an idle machine
+# but tens of milliseconds per pool on a busy one, where a command's time
+# would swing with the machine's load. The CLI therefore runs BLAS on one thread
+# unless the environment says otherwise; library users are left alone.
+if _started_as_cli() and "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    _os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .linalg import DEFAULT_TOL, Tolerance
 from .frames import (
     COMPLEX,

@@ -11,7 +11,8 @@ Exit codes
   reconstruct  0 unique or heuristic success, 3 ambiguous,
                4 no solution or heuristic failure
   witness      0 witness produced, 2 no witness available
-  all          1 on runtime errors (bad files, invalid arguments, ...)
+  all          1 on runtime errors and usage errors (bad files, invalid
+               arguments, ...)
 """
 
 from __future__ import annotations
@@ -82,9 +83,11 @@ def _check_threads_env() -> int | None:
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
+    rank_eps = getattr(args, "rank_eps", None)
+    residual_eps = getattr(args, "tol", None)
     return Tolerance(
-        rank_eps=getattr(args, "rank_eps", None) or DEFAULT_TOL.rank_eps,
-        residual_eps=getattr(args, "tol", None) or DEFAULT_TOL.residual_eps,
+        rank_eps=DEFAULT_TOL.rank_eps if rank_eps is None else rank_eps,
+        residual_eps=DEFAULT_TOL.residual_eps if residual_eps is None else residual_eps,
     )
 
 
@@ -203,7 +206,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     _emit_json(result_to_dict(result, frame.field))
     _info(
         f"status: {result.status} ({len(result.rays)} ray(s), "
-        f"{result.patterns_explored} node(s), {elapsed * 1000.0:.1f} ms)"
+        f"{result.patterns_explored} sign-tree node(s), {elapsed * 1000.0:.1f} ms)"
     )
     if result.status in (STATUS_UNIQUE, STATUS_HEURISTIC_SUCCESS):
         return 0
@@ -311,8 +314,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on usage errors: 2 is the "not injective" and "no witness"
+    verdict of certify and witness."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="framephase",
         description="Finite-frame phase retrieval: generation, injectivity "
         "certification, magnitude measurements, and reconstruction.",
@@ -344,7 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="compute magnitude measurements of a vector")
     p.add_argument("frame", metavar="FRAME_FILE")
-    p.add_argument("--x", default=None, help="vector entries, comma-separated")
+    p.add_argument(
+        "--x",
+        default=None,
+        help="vector entries, comma-separated; write --x=-1.2,0.3 when the "
+        "first entry is negative",
+    )
     p.add_argument("--x-file", default=None, help="file containing the vector entries")
     p.add_argument("--out", required=True, metavar="MEAS_FILE")
     p.set_defaults(func=cmd_measure)

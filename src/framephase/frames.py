@@ -375,6 +375,8 @@ def frame_from_dict(data: dict) -> Frame:
     field = data["field"]
     if field not in (REAL, COMPLEX):
         raise ValueError(f"unknown field {field!r}")
+    if not data["vectors"]:
+        raise ValueError("frame file has no vectors")
     vectors = np.stack([decode_vector(v, field) for v in data["vectors"]])
     if vectors.shape != (int(data["m"]), int(data["n"])):
         raise ValueError(

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Tolerance",
@@ -102,6 +101,10 @@ def qr_column_pivot(a, tol: Tolerance = DEFAULT_TOL) -> QRPivot:
     orthonormal columns, and rank counting the diagonal entries of r that
     exceed rank_eps times |r[0, 0]|.
     """
+    # Imported here, its only use, so that importing framephase (every CLI
+    # start) does not pay the ~0.4 s scipy import.
+    import scipy.linalg
+
     arr = as_matrix(a)
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError("qr_column_pivot needs a nonempty matrix")

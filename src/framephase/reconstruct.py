@@ -1,11 +1,14 @@
 """Reconstruction of a signal ray from magnitude measurements.
 
 Real case: the coefficient vector of any preimage is a sign flip of the
-measured magnitudes, so a depth-first search over sign assignments with
-least-squares feasibility pruning enumerates every preimage ray exactly.
-The prefix residual is monotone in the depth, so pruning at the final
-acceptance threshold discards no solution and the search matches
-exhaustive enumeration.
+measured magnitudes. N rows chosen by pivoted QR form an invertible pivot
+block, so a preimage is fixed by its signs on the block. All sign patterns
+of the block are solved in one batched product and filtered by a per-row
+bound propagated from the acceptance threshold; the full patterns of the
+few survivors then get the exhaustive search's own least-squares
+acceptance test. Every accepted preimage's block pattern passes the
+filter, so the search matches exhaustive enumeration at a cost of
+2^(N-1) block patterns times M rows.
 
 Complex case: the phases live on a torus and no finite enumeration exists;
 an alternating projection heuristic (project onto the coefficient range,
@@ -15,12 +18,13 @@ Returned results are always re-verified against the measurements.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .frames import COMPLEX, REAL, Frame, analysis_matrix, coefficient_range, encode_vector
-from .linalg import DEFAULT_TOL, Tolerance, least_squares
+from .linalg import DEFAULT_TOL, Tolerance, least_squares, qr_column_pivot
 from .magnitude import canonical_ray, magnitude_map, ray_equal
 
 __all__ = [
@@ -44,6 +48,9 @@ STATUS_NO_SOLUTION = "no_solution"
 STATUS_HEURISTIC_SUCCESS = "heuristic_success"
 STATUS_HEURISTIC_FAIL = "heuristic_fail"
 
+# Block sign patterns solved per matrix product in reconstruct_real.
+_CHUNK = 4096
+
 
 @dataclass
 class ReconstructionResult:
@@ -51,11 +58,12 @@ class ReconstructionResult:
 
     rays holds canonical ray representatives, each verified to reproduce
     the measurements within residual_eps * (1 + ||a||); residuals holds the
-    corresponding measurement residuals. patterns_explored counts search
-    nodes evaluated (one prefix least-squares solve each) for the real
-    search, and 0 for the complex heuristic. best_residual reports the best
-    measurement residual seen (meaningful for heuristic failures, where no
-    ray is returned).
+    corresponding measurement residuals. For the real search,
+    patterns_explored counts the nodes of the pivot block's sign tree,
+    2^(k+1) - 1 for k free block signs (k = N - 1 when every magnitude is
+    significant); it is 0 for the complex heuristic. best_residual reports
+    the best measurement residual seen (meaningful for heuristic failures,
+    where no ray is returned).
     """
 
     status: str
@@ -67,8 +75,8 @@ class ReconstructionResult:
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Raised when the sign search visits more nodes than allowed; carries
-    the partial result found so far."""
+    """Raised when the sign search would need more nodes or leaf patterns
+    than allowed; carries the partial result found so far."""
 
     def __init__(self, message: str, partial: ReconstructionResult):
         super().__init__(message)
@@ -124,6 +132,24 @@ def _finalize_real(
     )
 
 
+def _full_patterns(pred: np.ndarray, bound: np.ndarray, significant: np.ndarray):
+    """Every full sign pattern that one block candidate leaves open.
+
+    A significant row whose prediction clears its bound takes the sign of
+    the prediction; one that does not is tried both ways. Insignificant
+    rows keep the + sign the leaf test targets them with, and each pattern
+    is flipped so that the first row (the largest magnitude) is +.
+    """
+    loose = np.flatnonzero(significant & (np.abs(pred) <= bound))
+    fixed = np.where(significant, np.sign(pred), 1.0)
+    for choice in itertools.product((1.0, -1.0), repeat=loose.size):
+        s = fixed.copy()
+        s[loose] = choice
+        if s[0] < 0.0:
+            s[significant] *= -1.0
+        yield tuple(s)
+
+
 def reconstruct_real(
     frame: Frame,
     magnitudes,
@@ -132,21 +158,28 @@ def reconstruct_real(
 ) -> ReconstructionResult:
     """Enumerate every ray consistent with real magnitude measurements.
 
-    Indices are processed in descending magnitude order. The first index
-    with a significant magnitude keeps a fixed + sign (quotienting out the
-    global sign); entries at or below residual_eps * ||a|| are treated as
-    sign-free and targeted at their measured value with a + sign. A branch
-    is pruned as soon as the least-squares residual of its signed prefix
-    exceeds residual_eps * (1 + ||a||); the prefix residual only grows with
-    depth, so no admissible assignment is lost. Statuses: Unique (one ray),
-    Ambiguous (several), NoSolution (measurements inconsistent with the
-    frame). Raises SearchBudgetExceeded (with partial findings) if more
-    than node_budget nodes are evaluated.
+    Indices are processed in descending magnitude order; entries at or
+    below residual_eps * ||a|| are treated as sign-free and targeted at
+    their measured value with a + sign, and the first (largest) entry keeps
+    a + sign, quotienting out the global sign. A preimage is accepted when
+    the least-squares residual of its full signed target is at most
+    residual_eps * (1 + ||a||).
+
+    Candidates come from a pivot block of N rows chosen by pivoted QR (the
+    frame spans, so the block is invertible): every sign pattern of the
+    block's k free signs is solved in one matrix product, and a pattern is
+    kept only if each row's predicted magnitude lies within that row's
+    propagated bound of the measurement. Every accepted preimage's block
+    pattern passes that filter, so this matches the exhaustive search.
+    Statuses: Unique (one ray), Ambiguous (several), NoSolution
+    (measurements inconsistent with the frame). Raises SearchBudgetExceeded
+    (with partial findings) if the block's sign tree, 2^(k+1) - 1 nodes,
+    or the number of full patterns left for the leaf test exceeds
+    node_budget.
     """
     if frame.field != REAL:
         raise ValueError("reconstruct_real requires a real frame")
     a = _check_magnitudes(frame, magnitudes)
-    m = frame.m
     t = analysis_matrix(frame)
     norm_a = float(np.linalg.norm(a))
     threshold = tol.residual_eps * (1.0 + norm_a)
@@ -155,32 +188,51 @@ def reconstruct_real(
     t_ord = t[order]
     a_ord = a[order]
     significant = a_ord > tol.residual_eps * norm_a
-    first_significant = int(np.argmax(significant)) if significant.any() else None
 
-    nodes = 0
+    block = np.sort(qr_column_pivot(t_ord.T, tol).perm[: frame.n])
+    block_sig = significant[block]
+    # The block's first significant row keeps a + sign; the rest are free.
+    free = np.flatnonzero(block_sig)[1:]
+    k = free.size
+    nodes = 2 ** (k + 1) - 1
+
+    def over_budget(what: str) -> SearchBudgetExceeded:
+        partial = _finalize_real(frame, a, [], nodes, tol)
+        return SearchBudgetExceeded(f"{what} exceeds the budget of {node_budget}", partial)
+
+    if nodes > node_budget:
+        raise over_budget(f"block sign tree of {nodes} nodes")
+
+    u, sv, vt = np.linalg.svd(t_ord[block])
+    # pred = targets @ lift predicts every row from the block's targets.
+    lift = (u / sv) @ vt @ t_ord.T
+    # Insignificant block rows are targeted at 0, which is off by at most
+    # their magnitude whichever global sign the block pattern stands for.
+    slack = threshold + float(np.linalg.norm(a_ord[block[~block_sig]]))
+    bound = threshold + np.linalg.norm(t_ord, axis=1) * slack / sv[-1]
+    base = np.where(block_sig, a_ord[block], 0.0)
+    bits = np.arange(k)
+
+    patterns: set[tuple] = set()
+    for start in range(0, 2**k, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, 2**k))
+        targets = np.tile(base, (codes.size, 1))
+        targets[:, free] *= 1.0 - 2.0 * ((codes[:, None] >> bits) & 1)
+        pred = targets @ lift
+        keep = np.all(np.abs(np.abs(pred) - a_ord) <= bound, axis=1)
+        for row in pred[keep]:
+            for pattern in _full_patterns(row, bound, significant):
+                patterns.add(pattern)
+                if len(patterns) > node_budget:
+                    raise over_budget("the number of full sign patterns")
+
+    # The exhaustive search's visit order (+ before -, largest magnitude
+    # first) fixes which of two equal rays _finalize_real keeps.
     solutions: list[np.ndarray] = []
-    # Stack entries: (depth, signs decided so far). Children are pushed with
-    # the - branch first so the + branch is explored first.
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    while stack:
-        depth, signs = stack.pop()
-        if depth > 0:
-            nodes += 1
-            if nodes > node_budget:
-                partial = _finalize_real(frame, a, solutions, nodes, tol)
-                raise SearchBudgetExceeded(
-                    f"sign search exceeded {node_budget} nodes", partial
-                )
-            target = np.array(signs, dtype=np.float64) * a_ord[:depth]
-            sol = least_squares(t_ord[:depth], target, tol)
-            if sol.residual > threshold:
-                continue
-            if depth == m:
-                solutions.append(sol.x)
-                continue
-        if significant[depth] and depth != first_significant:
-            stack.append((depth + 1, signs + (-1,)))
-        stack.append((depth + 1, signs + (1,)))
+    for pattern in sorted(patterns, reverse=True):
+        sol = least_squares(t_ord, np.array(pattern) * a_ord, tol)
+        if sol.residual <= threshold:
+            solutions.append(sol.x)
     return _finalize_real(frame, a, solutions, nodes, tol)
 
 
@@ -218,8 +270,9 @@ def error_reduction(
     best_res = np.inf
     best_p = None
     history: list[float] = []
+    basis_h = basis.conj().T
     for _ in range(max_iters):
-        p = basis @ (basis.conj().T @ c)
+        p = basis @ (basis_h @ c)
         mags = np.abs(p)
         res = float(np.linalg.norm(mags - a))
         history.append(res)
@@ -230,8 +283,7 @@ def error_reduction(
             break
         if len(history) > stall_window and history[-stall_window - 1] - res < stall_eps:
             break
-        safe = np.where(mags > tol.residual_eps, mags, 1.0)
-        c = np.where(mags > tol.residual_eps, a * p / safe, p)
+        c = np.divide(a * p, mags, out=p.copy(), where=mags > tol.residual_eps)
     if best_p is None:
         best_p = np.zeros(basis.shape[0], dtype=np.complex128)
     return best_p, history

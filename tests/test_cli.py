@@ -259,3 +259,68 @@ def test_stdout_is_pure_json_for_certify_and_reconstruct(tmp_path):
     json.loads(out)  # must parse as a single document
     _, out, _ = run_cli("reconstruct", str(frame), str(meas))
     json.loads(out)
+
+
+def test_usage_errors_exit_1(tmp_path):
+    # 2 is certify's and witness's verdict code, so usage errors must not use it.
+    for args in (("certify",), ("bogus",), ("gen", "--field", "real", "--n", "x",
+                                            "--out", str(tmp_path / "f.json"))):
+        code, out, err = run_cli(*args)
+        assert code == 1, args
+        assert out == b""
+        assert "error:" in err
+
+
+def test_zero_tolerance_flags_are_rejected(tmp_path):
+    frame = tmp_path / "f.json"
+    run_cli("gen", "--field", "real", "--n", "2", "--m", "3", "--seed", "0",
+            "--out", str(frame))
+    code, _, err = run_cli("certify", str(frame), "--tol", "0")
+    assert code == 1 and "residual_eps must be positive" in err
+    code, _, err = run_cli("certify", str(frame), "--rank-eps", "0")
+    assert code == 1 and "rank_eps must lie in (0, 1)" in err
+
+
+def test_frame_file_without_vectors_is_error(tmp_path):
+    frame = tmp_path / "empty.json"
+    frame.write_text(json.dumps({"field": "real", "n": 2, "m": 0, "vectors": []}))
+    code, _, err = run_cli("certify", str(frame))
+    assert code == 1
+    assert "error: frame file has no vectors" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, framephase.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "orig_argv, preset, expected",
+    [
+        (None, None, "None"),  # a library import leaves BLAS threading alone
+        (["-m", "framephase", "gen"], None, "1"),
+        (["-m", "framephase", "gen"], "4", "4"),  # an explicit setting wins
+        (["-m", "pytest"], None, "None"),
+    ],
+)
+def test_cli_process_runs_blas_on_one_thread(orig_argv, preset, expected):
+    fake = "" if orig_argv is None else f"sys.orig_argv = [sys.executable, *{orig_argv!r}]; "
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import os, sys; {fake}import framephase; "
+         "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected

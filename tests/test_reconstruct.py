@@ -1,16 +1,18 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from framephase.frames import (
     COMPLEX,
     REAL,
     Frame,
+    analysis_matrix,
     coefficient_range,
     gen_random,
     gen_repeated_tail,
 )
-from framephase.linalg import Tolerance
+from framephase.linalg import DEFAULT_TOL, Tolerance, least_squares
 from framephase.magnitude import magnitude_map, ray_equal
 from framephase.reconstruct import (
     STATUS_AMBIGUOUS,
@@ -19,6 +21,7 @@ from framephase.reconstruct import (
     STATUS_NO_SOLUTION,
     STATUS_UNIQUE,
     SearchBudgetExceeded,
+    _finalize_real,
     enumerate_ambiguities,
     error_reduction,
     reconstruct_complex,
@@ -121,6 +124,122 @@ def test_pruned_search_matches_exhaustive_on_infeasible():
     status, rays = oracles.exhaustive_real_rays(f.vectors, a)
     assert result.status == status == STATUS_NO_SOLUTION
     assert rays == []
+
+
+def _degenerate_case(seed, n, m, case):
+    """A real frame and magnitudes for one of the awkward input regimes."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((m, n))
+    x = rng.standard_normal(n)
+    if case in ("zero", "near-zero") and n >= 2:
+        # A vector orthogonal to x measures 0. Shortened, pivoting leaves it
+        # out of the block; tilted towards x (with ||a|| = 0.1), it measures
+        # a little above the significance cutoff, and both signs can fit.
+        w = rng.standard_normal(n)
+        w -= (w @ x) / (x @ x) * x
+        if case == "near-zero":
+            x *= 0.1 / np.linalg.norm(v @ x)
+            w *= 1e-2
+            w += rng.uniform(1.0, 4.0) * 1e-9 * x / (x @ x)
+        v[rng.integers(m)] = w
+    elif case in ("parallel", "duplicate") and m >= 2:
+        i, j = rng.choice(m, 2, replace=False)
+        v[j] = v[i] * (rng.uniform(-3.0, 3.0) if case == "parallel" else 1.0)
+    elif case == "scaled":
+        v *= 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+    try:
+        f = Frame(REAL, v)
+    except ValueError:  # the change left the family non-spanning
+        return None
+    if case == "inconsistent":
+        return f, np.abs(rng.standard_normal(m)) * np.sqrt(n)
+    a = magnitude_map(f, x)
+    if case in ("noisy", "near-zero"):
+        # Noise of the order of the acceptance threshold.
+        sigma = rng.uniform(0.3, 2.0) * 1e-8 * (1.0 + np.linalg.norm(a)) / np.sqrt(m)
+        a = np.abs(a + sigma * rng.standard_normal(m))
+    return f, a
+
+
+def _pruned_dfs(frame, a, tol=DEFAULT_TOL):
+    """The reference search: depth first over signs in descending magnitude
+    order, + before -, one least-squares solve per node, pruned at the
+    acceptance threshold (prefix residuals only grow with depth). Returns
+    the accepted leaf solutions in visit order."""
+    norm_a = float(np.linalg.norm(a))
+    threshold = tol.residual_eps * (1.0 + norm_a)
+    order = np.argsort(-a, kind="stable")
+    t_ord = analysis_matrix(frame)[order]
+    a_ord = a[order]
+    significant = a_ord > tol.residual_eps * norm_a
+    solutions = []
+    stack = [()]
+    while stack:
+        signs = stack.pop()
+        depth = len(signs)
+        if depth > 0:
+            target = np.array(signs, dtype=np.float64) * a_ord[:depth]
+            sol = least_squares(t_ord[:depth], target, tol)
+            if sol.residual > threshold:
+                continue
+            if depth == frame.m:
+                solutions.append(sol.x)
+                continue
+        if significant[depth] and depth > 0:
+            stack.append(signs + (-1,))
+        stack.append(signs + (1,))
+    return solutions
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    extra=st.integers(0, 6),
+    case=st.sampled_from(
+        ["planted", "zero", "near-zero", "parallel", "duplicate", "scaled",
+         "inconsistent", "noisy"]
+    ),
+)
+def test_block_search_matches_exhaustive_search(seed, n, extra, case):
+    made = _degenerate_case(seed, n, min(n + extra, 12), case)
+    assume(made is not None)
+    f, a = made
+    result = reconstruct_real(f, a)
+    # Same solutions as the per-node search, hence the same bytes.
+    reference = _finalize_real(f, a, _pruned_dfs(f, a), result.patterns_explored, DEFAULT_TOL)
+    assert result_to_dict(result, REAL) == result_to_dict(reference, REAL)
+    if case == "near-zero":
+        # Rays 1e-8 apart: the oracle's coarser ray equality merges them.
+        return
+    status, rays = oracles.exhaustive_real_rays(f.vectors, a)
+    assert result.status == status
+    assert len(result.rays) == len(rays)
+    for r in rays:
+        assert any(oracles.same_ray(r, s) for s in result.rays)
+
+
+def test_block_search_recovers_n16_within_default_budget():
+    f = gen_random(REAL, 16, 31, seed=16)
+    x = np.random.default_rng(16).standard_normal(16)
+    result = reconstruct_real(f, magnitude_map(f, x))
+    assert result.status == STATUS_UNIQUE
+    assert ray_equal(result.rays[0], x)
+    # Every magnitude is significant, so k = N - 1 block signs are free.
+    assert result.patterns_explored == 2**16 - 1
+
+
+def test_patterns_explored_is_block_sign_tree_size():
+    f = gen_random(REAL, 5, 9, seed=3)
+    x = np.random.default_rng(3).standard_normal(5)
+    assert reconstruct_real(f, magnitude_map(f, x)).patterns_explored == 2**5 - 1
+    # No significant magnitude leaves no free sign: k = 0.
+    assert reconstruct_real(f, np.zeros(9)).patterns_explored == 1
 
 
 def test_search_budget_carries_partial_result():
