@@ -33,7 +33,6 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .frames import (
     COMPLEX,
     REAL,
-    CoefficientRange,
     Frame,
     FrameBounds,
     analysis,
@@ -51,17 +50,14 @@ from .frames import (
     gen_windowed_fourier,
     load_frame,
     save_frame,
-    synthesis,
 )
 from .magnitude import (
     SignPattern,
-    apply_sign_pattern,
     canonical_ray,
     load_measurement,
     magnitude_map,
     measurement_from_dict,
     measurement_to_dict,
-    project_vanishing,
     ray_equal,
     save_measurement,
 )
@@ -78,7 +74,6 @@ from .injectivity import (
     complex_size_check,
     full_spark_test,
     necessary_condition_for_M_2N_minus_1,
-    sharpness_check,
     verify_witness,
     witness_pair,
 )
@@ -116,7 +111,6 @@ __all__ = [
     "Tolerance",
     "COMPLEX",
     "REAL",
-    "CoefficientRange",
     "Frame",
     "FrameBounds",
     "analysis",
@@ -134,15 +128,12 @@ __all__ = [
     "gen_windowed_fourier",
     "load_frame",
     "save_frame",
-    "synthesis",
     "SignPattern",
-    "apply_sign_pattern",
     "canonical_ray",
     "load_measurement",
     "magnitude_map",
     "measurement_from_dict",
     "measurement_to_dict",
-    "project_vanishing",
     "ray_equal",
     "save_measurement",
     "VERDICT_INJECTIVE",
@@ -157,7 +148,6 @@ __all__ = [
     "complex_size_check",
     "full_spark_test",
     "necessary_condition_for_M_2N_minus_1",
-    "sharpness_check",
     "verify_witness",
     "witness_pair",
     "STATUS_AMBIGUOUS",

@@ -266,17 +266,16 @@ def _run_preset(
             max_iters=500,
         )
         return xp.run_complex_genericity(cfg), None
-    if preset == "equivalence":
-        cfg = xp.ExperimentConfig(
-            REAL,
-            (3,),
-            "both",
-            trials if trials is not None else 50,
-            seed,
-            transforms=5,
-        )
-        return xp.run_equivalence_invariance(cfg), None
-    raise ValueError(f"unknown preset {preset!r}; choose from {', '.join(PRESETS)}")
+    # "equivalence": cmd_experiment has rejected every name outside PRESETS.
+    cfg = xp.ExperimentConfig(
+        REAL,
+        (3,),
+        "both",
+        trials if trials is not None else 50,
+        seed,
+        transforms=5,
+    )
+    return xp.run_equivalence_invariance(cfg), None
 
 
 def _summary_table(report: xp.ExperimentReport) -> str:

@@ -1,11 +1,14 @@
 """Monte-Carlo experiment harnesses over random frames.
 
-Each harness sweeps a grid of (N, M) cells, runs seeded trials, and
-aggregates rates into an ExperimentReport. Per-trial randomness is derived
-from (seed, n, m, salt, trial) entropy so cells never share streams and
-every report is reproducible from (config, seed). Measured timings live
-only in the in-memory report; report files omit them so identical runs
-produce identical bytes.
+Each harness sweeps a grid of (N, M) cells. Per cell it defines one trial
+(a function of the trial index) and a summary of the trials' outcomes, and
+hands both to ``_cell``, the one trial loop: it times the trials and builds
+the CellResult, or no cell at zero trials. The two real-frame harnesses
+read their M rules through ``_real_rules``. Per-trial randomness is derived
+from (seed, n, m, salt, trial) entropy, with one salt per kind of trial, so
+cells never share streams and every report is reproducible from (config,
+seed). Measured timings live only in the in-memory report; report files
+omit them so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -151,6 +155,41 @@ def _derived_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
+def _cell(
+    field: str,
+    n: int,
+    m: int,
+    trials: int,
+    seed: int,
+    trial: Callable[[int], Any],
+    summarize: Callable[[list], tuple[float | None, float | None, dict]],
+) -> list[CellResult]:
+    """Time ``trial(t)`` for t in range(trials) and aggregate the outcomes.
+
+    ``summarize(outcomes)`` gives (inj_rate, rec_rate, extras). The list
+    holds the one cell, or nothing at zero trials, where no trial runs.
+    """
+    if trials == 0:
+        return []
+    started = time.perf_counter()
+    outcomes = [trial(t) for t in range(trials)]
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    inj_rate, rec_rate, extras = summarize(outcomes)
+    mean_ms = elapsed_ms / trials
+    return [CellResult(field, n, m, trials, inj_rate, rec_rate, mean_ms, seed, extras)]
+
+
+def _real_rules(cfg: ExperimentConfig, harness: str) -> tuple[str, ...]:
+    """The M rules of a real-frame harness: '2n-1', '2n-2', or both."""
+    if cfg.field != REAL:
+        raise ValueError(f"{harness} requires field 'real'")
+    if cfg.m_rule == "both":
+        return ("2n-1", "2n-2")
+    if cfg.m_rule in ("2n-1", "2n-2"):
+        return (cfg.m_rule,)
+    raise ValueError(f"m_rule must be '2n-1', '2n-2', or 'both', got {cfg.m_rule!r}")
+
+
 def run_real_genericity(cfg: ExperimentConfig) -> ExperimentReport:
     """Injectivity rates for random real frames at M = 2N-1 and/or 2N-2.
 
@@ -159,53 +198,30 @@ def run_real_genericity(cfg: ExperimentConfig) -> ExperimentReport:
     re-verified through its witness (a verification failure raises, it is
     a bug rather than a data point).
     """
-    if cfg.field != REAL:
-        raise ValueError("run_real_genericity requires field 'real'")
-    if cfg.m_rule == "both":
-        rules = ("2n-1", "2n-2")
-    elif cfg.m_rule in ("2n-1", "2n-2"):
-        rules = (cfg.m_rule,)
-    else:
-        raise ValueError(f"m_rule must be '2n-1', '2n-2', or 'both', got {cfg.m_rule!r}")
+    rules = _real_rules(cfg, "run_real_genericity")
     cells: list[CellResult] = []
-    if cfg.trials == 0:
-        return ExperimentReport(cfg.to_dict(), cells)
     for rule in rules:
         for n in cfg.n_values:
             m = M_RULES[rule](n)
             if m < n:
                 raise ValueError(f"rule {rule} needs larger N, got N={n}")
-            injective = 0
-            witness_ok = 0
-            not_injective = 0
-            started = time.perf_counter()
-            for trial in range(cfg.trials):
-                frame = gen_random(REAL, n, m, _trial_rng(cfg.seed, n, m, 1, trial))
+
+            def trial(t: int) -> bool:
+                frame = gen_random(REAL, n, m, _trial_rng(cfg.seed, n, m, 1, t))
                 cert = complement_property(frame, cfg.tol)
-                if cert.verdict == VERDICT_NOT_INJECTIVE:
-                    not_injective += 1
-                    if not verify_witness(frame, *cert.witness, cfg.tol):
-                        raise RuntimeError("claimed NotInjective witness failed to verify")
-                    witness_ok += 1
-                else:
-                    injective += 1
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            extras = {}
-            if rule == "2n-2":
-                extras["not_injective_verified_rate"] = witness_ok / cfg.trials
-            cells.append(
-                CellResult(
-                    field=REAL,
-                    n=n,
-                    m=m,
-                    trials=cfg.trials,
-                    inj_rate=injective / cfg.trials,
-                    rec_rate=None,
-                    mean_ms=elapsed_ms / cfg.trials,
-                    seed=cfg.seed,
-                    extras=extras,
-                )
-            )
+                if cert.verdict != VERDICT_NOT_INJECTIVE:
+                    return True
+                if not verify_witness(frame, *cert.witness, cfg.tol):
+                    raise RuntimeError("claimed NotInjective witness failed to verify")
+                return False
+
+            def summarize(injective: list[bool]):
+                extras = {}
+                if rule == "2n-2":
+                    extras["not_injective_verified_rate"] = injective.count(False) / cfg.trials
+                return sum(injective) / cfg.trials, None, extras
+
+            cells += _cell(REAL, n, m, cfg.trials, cfg.seed, trial, summarize)
     return ExperimentReport(cfg.to_dict(), cells)
 
 
@@ -278,39 +294,28 @@ def run_dense_interior_real(
     """
     if not n < m < 2 * n - 1:
         raise ValueError(f"requires N < M < 2N-1, got N={n}, M={m}")
-    unique = 0
-    started = time.perf_counter()
-    for trial in range(trials):
-        rng = _trial_rng(seed, n, m, 2, trial)
-        frame = gen_random(REAL, n, m, rng)
-        x = rng.standard_normal(n)
-        rays = enumerate_ambiguities(frame, x, tol)
-        if len(rays) == 1 and ray_equal(rays[0], x, tol):
-            unique += 1
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     witnesses = [
         _build_thin_witness(n, m, (seed, n, m, 3, case), tol)
         for case in range(constructed_cases)
     ]
-    verified = sum(1 for w in witnesses if w.verified)
-    cells = []
-    if trials > 0:
-        cells.append(
-            CellResult(
-                field=REAL,
-                n=n,
-                m=m,
-                trials=trials,
-                inj_rate=None,
-                rec_rate=unique / trials,
-                mean_ms=elapsed_ms / trials,
-                seed=seed,
-                extras={
-                    "constructed_cases": float(constructed_cases),
-                    "constructed_verified": float(verified),
-                },
-            )
-        )
+
+    def trial(t: int) -> bool:
+        rng = _trial_rng(seed, n, m, 2, t)
+        frame = gen_random(REAL, n, m, rng)
+        x = rng.standard_normal(n)
+        rays = enumerate_ambiguities(frame, x, tol)
+        return len(rays) == 1 and ray_equal(rays[0], x, tol)
+
+    def summarize(unique: list[bool]):
+        verified = sum(1 for w in witnesses if w.verified)
+        extras = {
+            "constructed_cases": float(constructed_cases),
+            "constructed_verified": float(verified),
+        }
+        return None, sum(unique) / trials, extras
+
     config = {
         "field": REAL,
         "n_values": [n],
@@ -320,6 +325,7 @@ def run_dense_interior_real(
         "constructed_cases": constructed_cases,
         "tol": {"rank_eps": tol.rank_eps, "residual_eps": tol.residual_eps},
     }
+    cells = _cell(REAL, n, m, trials, seed, trial, summarize)
     return ExperimentReport(config, cells), witnesses
 
 
@@ -336,48 +342,34 @@ def run_complex_genericity(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError("run_complex_genericity requires field 'complex'")
     if any(n < 2 or n > 3 for n in cfg.n_values):
         raise ValueError("complex study is budgeted for N in {2, 3}")
-    cells: list[CellResult] = []
-    if cfg.trials == 0:
-        return ExperimentReport(cfg.to_dict(), cells)
     loose = Tolerance(cfg.tol.rank_eps, 1e-6)
+    cells: list[CellResult] = []
     for n in cfg.n_values:
         # Size obstruction cell: M = 2N-1 is never injective.
         m = 2 * n - 1
-        size_fail = 0
-        witness_ok = 0
-        started = time.perf_counter()
-        for trial in range(cfg.trials):
-            frame = gen_random(COMPLEX, n, m, _trial_rng(cfg.seed, n, m, 4, trial))
-            if not complex_size_check(frame):
-                size_fail += 1
+
+        def obstruction(t: int) -> tuple[bool, bool]:
+            frame = gen_random(COMPLEX, n, m, _trial_rng(cfg.seed, n, m, 4, t))
+            size_fail = not complex_size_check(frame)
             cert = certify(frame, cfg.tol)
-            if cert.verdict == VERDICT_NOT_INJECTIVE and verify_witness(
+            return size_fail, cert.verdict == VERDICT_NOT_INJECTIVE and verify_witness(
                 frame, *cert.witness, cfg.tol
-            ):
-                witness_ok += 1
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        cells.append(
-            CellResult(
-                field=COMPLEX,
-                n=n,
-                m=m,
-                trials=cfg.trials,
-                inj_rate=0.0 if size_fail == cfg.trials else None,
-                rec_rate=None,
-                mean_ms=elapsed_ms / cfg.trials,
-                seed=cfg.seed,
-                extras={
-                    "size_check_fail_rate": size_fail / cfg.trials,
-                    "witness_verified_rate": witness_ok / cfg.trials,
-                },
             )
-        )
+
+        def summarize_obstruction(outcomes: list[tuple[bool, bool]]):
+            size_fail = sum(fail for fail, _ in outcomes)
+            extras = {
+                "size_check_fail_rate": size_fail / cfg.trials,
+                "witness_verified_rate": sum(ok for _, ok in outcomes) / cfg.trials,
+            }
+            return 0.0 if size_fail == cfg.trials else None, None, extras
+
+        cells += _cell(COMPLEX, n, m, cfg.trials, cfg.seed, obstruction, summarize_obstruction)
         # Heuristic recovery cells.
         for m in (2 * n, 4 * n - 2):
-            successes = 0
-            started = time.perf_counter()
-            for trial in range(cfg.trials):
-                rng = _trial_rng(cfg.seed, n, m, 5, trial)
+
+            def recovery(t: int) -> bool:
+                rng = _trial_rng(cfg.seed, n, m, 5, t)
                 frame = gen_random(COMPLEX, n, m, rng)
                 x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 a = magnitude_map(frame, x)
@@ -386,30 +378,20 @@ def run_complex_genericity(cfg: ExperimentConfig) -> ExperimentReport:
                     a,
                     restarts=cfg.restarts,
                     max_iters=cfg.max_iters,
-                    seed=_derived_seed(cfg.seed, n, m, 6, trial),
+                    seed=_derived_seed(cfg.seed, n, m, 6, t),
                     tol=cfg.tol,
                 )
                 if result.status != STATUS_HEURISTIC_SUCCESS:
-                    continue
+                    return False
                 ray = result.rays[0]
-                if ray_equal(ray, x, loose) and float(
+                return ray_equal(ray, x, loose) and float(
                     np.linalg.norm(magnitude_map(frame, ray) - a)
-                ) <= 1e-6 * (1.0 + float(np.linalg.norm(a))):
-                    successes += 1
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            cells.append(
-                CellResult(
-                    field=COMPLEX,
-                    n=n,
-                    m=m,
-                    trials=cfg.trials,
-                    inj_rate=None,
-                    rec_rate=successes / cfg.trials,
-                    mean_ms=elapsed_ms / cfg.trials,
-                    seed=cfg.seed,
-                    extras={"regime": float(m >= 4 * n - 2)},
-                )
-            )
+                ) <= 1e-6 * (1.0 + float(np.linalg.norm(a)))
+
+            def summarize_recovery(successes: list[bool]):
+                return None, sum(successes) / cfg.trials, {"regime": float(m >= 4 * n - 2)}
+
+            cells += _cell(COMPLEX, n, m, cfg.trials, cfg.seed, recovery, summarize_recovery)
     return ExperimentReport(cfg.to_dict(), cells)
 
 
@@ -436,33 +418,19 @@ def run_equivalence_invariance(cfg: ExperimentConfig) -> ExperimentReport:
     transformed frame. Parseval outputs are additionally checked to have a
     frame operator within 1e-8 of the identity.
     """
-    if cfg.field != REAL:
-        raise ValueError("run_equivalence_invariance requires field 'real'")
-    if cfg.m_rule == "both":
-        rules = ("2n-1", "2n-2")
-    elif cfg.m_rule in ("2n-1", "2n-2"):
-        rules = (cfg.m_rule,)
-    else:
-        raise ValueError(f"m_rule must be '2n-1', '2n-2', or 'both', got {cfg.m_rule!r}")
+    rules = _real_rules(cfg, "run_equivalence_invariance")
     cells: list[CellResult] = []
-    if cfg.trials == 0:
-        return ExperimentReport(cfg.to_dict(), cells)
     for rule in rules:
         for n in cfg.n_values:
             m = M_RULES[rule](n)
-            agree = 0
-            injective = 0
-            parseval_dev = 0.0
-            witness_checked = 0
-            witness_ok = 0
-            started = time.perf_counter()
-            for trial in range(cfg.trials):
-                rng = _trial_rng(cfg.seed, n, m, 7, trial)
+
+            def trial(t: int) -> tuple[bool, bool, float, int, int]:
+                rng = _trial_rng(cfg.seed, n, m, 7, t)
                 frame = gen_random(REAL, n, m, rng)
                 base = complement_property(frame, cfg.tol)
-                if base.verdict != VERDICT_NOT_INJECTIVE:
-                    injective += 1
                 all_match = True
+                witness_checked = 0
+                witness_ok = 0
                 for _ in range(cfg.transforms):
                     r = _well_conditioned_invertible(rng, n)
                     moved = apply_invertible(frame, r, cfg.tol)
@@ -482,31 +450,21 @@ def run_equivalence_invariance(cfg: ExperimentConfig) -> ExperimentReport:
                 if complement_property(parseval, cfg.tol).verdict != base.verdict:
                     all_match = False
                 s_p, _ = frame_operator(parseval, cfg.tol)
-                parseval_dev = max(
-                    parseval_dev, float(np.linalg.norm(s_p - np.eye(n)))
-                )
-                if all_match:
-                    agree += 1
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            extras = {
-                "agreement_rate": agree / cfg.trials,
-                "parseval_max_identity_dev": parseval_dev,
-            }
-            if witness_checked:
-                extras["witness_transform_ok_rate"] = witness_ok / witness_checked
-            cells.append(
-                CellResult(
-                    field=REAL,
-                    n=n,
-                    m=m,
-                    trials=cfg.trials,
-                    inj_rate=injective / cfg.trials,
-                    rec_rate=None,
-                    mean_ms=elapsed_ms / cfg.trials,
-                    seed=cfg.seed,
-                    extras=extras,
-                )
-            )
+                dev = float(np.linalg.norm(s_p - np.eye(n)))
+                injective = base.verdict != VERDICT_NOT_INJECTIVE
+                return injective, all_match, dev, witness_checked, witness_ok
+
+            def summarize(outcomes: list[tuple[bool, bool, float, int, int]]):
+                injective, agree, devs, checked, ok = zip(*outcomes)
+                extras = {
+                    "agreement_rate": sum(agree) / cfg.trials,
+                    "parseval_max_identity_dev": max(0.0, *devs),
+                }
+                if sum(checked):
+                    extras["witness_transform_ok_rate"] = sum(ok) / sum(checked)
+                return sum(injective) / cfg.trials, None, extras
+
+            cells += _cell(REAL, n, m, cfg.trials, cfg.seed, trial, summarize)
     return ExperimentReport(cfg.to_dict(), cells)
 
 
@@ -517,8 +475,8 @@ def _fmt_rate(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def report_to_dict(report: ExperimentReport, include_timing: bool = False) -> dict:
-    """JSON-ready form. Timing is omitted by default so written reports are
+def report_to_dict(report: ExperimentReport) -> dict:
+    """JSON-ready form. Timing is omitted so written reports are
     byte-identical across reruns with the same config and seed."""
     cells = []
     for c in report.cells:
@@ -530,7 +488,7 @@ def report_to_dict(report: ExperimentReport, include_timing: bool = False) -> di
                 "trials": c.trials,
                 "inj_rate": c.inj_rate,
                 "rec_rate": c.rec_rate,
-                "mean_ms": c.mean_ms if include_timing else None,
+                "mean_ms": None,
                 "seed": c.seed,
                 "extras": c.extras,
             }
@@ -541,7 +499,7 @@ def report_to_dict(report: ExperimentReport, include_timing: bool = False) -> di
 def write_report_json(
     report: ExperimentReport, path: str | os.PathLike, extra: dict | None = None
 ) -> None:
-    payload = report_to_dict(report, include_timing=False)
+    payload = report_to_dict(report)
     if extra:
         payload.update(extra)
     with open(path, "w", encoding="utf-8") as fh:

@@ -24,11 +24,8 @@ __all__ = [
     "COMPLEX",
     "Frame",
     "FrameBounds",
-    "CoefficientRange",
-    "inner",
     "analysis",
     "analysis_matrix",
-    "synthesis",
     "frame_operator",
     "canonical_dual",
     "canonical_parseval",
@@ -111,39 +108,6 @@ class FrameBounds:
             raise ValueError(f"need 0 < A <= B, got A={self.lower}, B={self.upper}")
 
 
-@dataclass(frozen=True)
-class CoefficientRange:
-    """Orthonormal basis (columns) of W, the range of the analysis map."""
-
-    basis: np.ndarray
-
-    def project(self, c: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of a coefficient vector onto W."""
-        b = self.basis
-        return b @ (b.conj().T @ np.asarray(c))
-
-    def distance(self, c: np.ndarray) -> float:
-        """Euclidean distance from a coefficient vector to W."""
-        c = np.asarray(c)
-        return float(np.linalg.norm(c - self.project(c)))
-
-    def contains(self, c: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-        """Membership test, relative to max(||c||, 1)."""
-        c = np.asarray(c)
-        scale = max(float(np.linalg.norm(c)), 1.0)
-        return self.distance(c) <= tol.residual_eps * scale
-
-
-def inner(x, y) -> complex | float:
-    """Inner product sum_k x_k * conj(y_k) (conjugate-linear in y)."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    val = np.vdot(y, x)  # vdot conjugates its first argument
-    if np.iscomplexobj(x) or np.iscomplexobj(y):
-        return complex(val)
-    return float(val.real)
-
-
 def analysis_matrix(frame: Frame) -> np.ndarray:
     """The (M, N) matrix T with (T x)_i = <x, f_i>."""
     return np.conj(frame.vectors)
@@ -155,14 +119,6 @@ def analysis(frame: Frame, x) -> np.ndarray:
     if x.shape != (frame.n,):
         raise ValueError(f"x must have shape ({frame.n},), got {x.shape}")
     return analysis_matrix(frame) @ x
-
-
-def synthesis(frame: Frame, c) -> np.ndarray:
-    """Adjoint of analysis: sum_i c_i f_i, length N."""
-    c = np.asarray(c)
-    if c.shape != (frame.m,):
-        raise ValueError(f"c must have shape ({frame.m},), got {c.shape}")
-    return frame.vectors.T @ c
 
 
 def frame_operator(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, FrameBounds]:
@@ -199,12 +155,13 @@ def canonical_parseval(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
     return Frame(frame.field, (inv_sqrt @ frame.vectors.T).T)
 
 
-def coefficient_range(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> CoefficientRange:
-    """Orthonormal basis of W = range(T), an N-dimensional subspace of C^M."""
+def coefficient_range(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (columns, shape (M, N)) of W = range(T), an
+    N-dimensional subspace of C^M."""
     basis = column_space(analysis_matrix(frame), tol)
     if basis.shape[1] != frame.n:
         raise ValueError("analysis matrix lost rank; not a frame")
-    return CoefficientRange(basis)
+    return basis
 
 
 def apply_invertible(frame: Frame, r, tol: Tolerance = DEFAULT_TOL) -> Frame:

@@ -30,7 +30,6 @@ from .frames import (
     analysis_matrix,
     coefficient_range,
     encode_vector,
-    gen_random,
 )
 from .linalg import DEFAULT_TOL, Tolerance, least_squares, null_space, rank
 from .magnitude import SignPattern, canonical_ray, magnitude_map, ray_equal
@@ -46,7 +45,6 @@ __all__ = [
     "full_spark_test",
     "witness_pair",
     "verify_witness",
-    "sharpness_check",
     "complex_size_check",
     "necessary_condition_for_M_2N_minus_1",
     "certify",
@@ -189,31 +187,6 @@ def full_spark_test(
     return FullSpark(True, None)
 
 
-def sharpness_check(
-    n: int, seed=0, tol: Tolerance = DEFAULT_TOL
-) -> InjectivityCertificate:
-    """Demonstrate that M = 2N-2 real measurements are never injective.
-
-    Draws a random real frame with M = 2N-2 and splits the indices at
-    k = N-1: both halves have N-1 < N vectors, so neither spans, and
-    witness_pair produces a verified ambiguity. This is the boundary case
-    showing the M >= 2N-1 requirement is sharp.
-    """
-    if n < 2:
-        raise ValueError(f"need N >= 2, got N={n}")
-    frame = gen_random(REAL, n, 2 * n - 2, seed)
-    pattern = SignPattern.from_indices(range(n - 1), 2 * n - 2)
-    x, y = witness_pair(frame, pattern, tol)
-    if not verify_witness(frame, x, y, tol):
-        raise RuntimeError("sharpness witness did not verify")
-    return InjectivityCertificate(
-        verdict=VERDICT_NOT_INJECTIVE,
-        failing_subset=pattern,
-        witness=(x, y),
-        checked_subsets=1,
-    )
-
-
 def complex_size_check(frame: Frame) -> bool:
     """Size test for complex frames: injectivity requires M >= 2N.
 
@@ -290,7 +263,7 @@ def _complex_minimal_count_witness(
     disjoint supports elsewhere), while the rays differ.
     """
     n, m = frame.n, frame.m
-    basis = coefficient_range(frame, tol).basis
+    basis = coefficient_range(frame, tol)
     xi = null_space(basis[n:, :], tol)
     eta = null_space(basis[: n - 1, :], tol)
     if xi.shape[1] == 0 or eta.shape[1] == 0:

@@ -24,8 +24,6 @@ __all__ = [
     "magnitude_map",
     "canonical_ray",
     "ray_equal",
-    "apply_sign_pattern",
-    "project_vanishing",
     "measurement_to_dict",
     "measurement_from_dict",
     "save_measurement",
@@ -109,37 +107,8 @@ class SignPattern:
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.size) if self.mask >> i & 1)
 
-    def contains(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
     def complement(self) -> "SignPattern":
         return SignPattern(self.mask ^ ((1 << self.size) - 1), self.size)
-
-    def signs(self) -> np.ndarray:
-        """Vector of +-1 entries: -1 exactly on the subset."""
-        out = np.ones(self.size)
-        for i in self.indices():
-            out[i] = -1.0
-        return out
-
-
-def apply_sign_pattern(pattern: SignPattern, a) -> np.ndarray:
-    """Flip the entries of a coefficient vector on the subset."""
-    a = np.asarray(a)
-    if a.shape != (pattern.size,):
-        raise ValueError(f"expected length {pattern.size}, got shape {a.shape}")
-    return pattern.signs() * a
-
-
-def project_vanishing(pattern: SignPattern, a) -> np.ndarray:
-    """Project onto the coordinate subspace vanishing on the subset.
-
-    Equals (a + apply_sign_pattern(pattern, a)) / 2: entries on S are
-    zeroed, entries off S are kept. Fixed points are exactly the vectors
-    already vanishing on S.
-    """
-    a = np.asarray(a)
-    return 0.5 * (a + apply_sign_pattern(pattern, a))
 
 
 MAGNITUDE_KEYS = ("m", "magnitudes")

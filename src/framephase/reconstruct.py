@@ -322,7 +322,7 @@ def reconstruct_complex(
             restarts_used=0,
             best_residual=norm_a,
         )
-    basis = coefficient_range(frame, tol).basis
+    basis = coefficient_range(frame, tol)
     t = analysis_matrix(frame)
     best_overall = np.inf
     for attempt in range(restarts):

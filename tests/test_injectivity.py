@@ -13,7 +13,6 @@ from framephase.injectivity import (
     complex_size_check,
     full_spark_test,
     necessary_condition_for_M_2N_minus_1,
-    sharpness_check,
     verify_witness,
     witness_pair,
 )
@@ -108,17 +107,6 @@ def test_full_spark_budget():
     f = gen_random(REAL, 12, 24, seed=0)
     with pytest.raises(ValueError):
         full_spark_test(f, max_subsets=1000)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_sharpness_check(n):
-    cert = sharpness_check(n, seed=n)
-    assert cert.verdict == VERDICT_NOT_INJECTIVE
-    assert cert.failing_subset.indices() == tuple(range(n - 1))
-    x, y = cert.witness
-    assert not ray_equal(x, y)
-    with pytest.raises(ValueError):
-        sharpness_check(1)
 
 
 def test_complex_size_check():

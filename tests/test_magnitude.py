@@ -5,13 +5,11 @@ import pytest
 from framephase.frames import COMPLEX, REAL, analysis, gen_random
 from framephase.magnitude import (
     SignPattern,
-    apply_sign_pattern,
     canonical_ray,
     load_measurement,
     magnitude_map,
     measurement_from_dict,
     measurement_to_dict,
-    project_vanishing,
     ray_equal,
     save_measurement,
 )
@@ -77,38 +75,13 @@ def test_sign_pattern_basics():
     p = SignPattern.from_indices([0, 2], 4)
     assert p.mask == 0b0101
     assert p.indices() == (0, 2)
-    assert p.contains(0) and not p.contains(1)
     assert p.complement().indices() == (1, 3)
-    npt.assert_array_equal(p.signs(), [-1.0, 1.0, -1.0, 1.0])
-    npt.assert_array_equal(p.complement().signs(), -p.signs())
     with pytest.raises(ValueError):
         SignPattern(1 << 4, 4)
     with pytest.raises(ValueError):
         SignPattern(-1, 4)
     with pytest.raises(ValueError):
         SignPattern.from_indices([4], 4)
-
-
-def test_apply_sign_pattern_is_involution():
-    p = SignPattern.from_indices([1, 2], 5)
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal(5)
-    flipped = apply_sign_pattern(p, a)
-    npt.assert_array_equal(apply_sign_pattern(p, flipped), a)
-    npt.assert_array_equal(flipped[[1, 2]], -a[[1, 2]])
-    npt.assert_array_equal(flipped[[0, 3, 4]], a[[0, 3, 4]])
-    with pytest.raises(ValueError):
-        apply_sign_pattern(p, np.ones(4))
-
-
-def test_project_vanishing_zeroes_the_subset():
-    p = SignPattern.from_indices([0, 3], 4)
-    a = np.array([1.0, 2.0, 3.0, 4.0])
-    npt.assert_array_equal(project_vanishing(p, a), [0.0, 2.0, 3.0, 0.0])
-    # Averaging with the flipped copy is a projection.
-    npt.assert_array_equal(
-        project_vanishing(p, project_vanishing(p, a)), project_vanishing(p, a)
-    )
 
 
 def test_measurement_round_trip(tmp_path):
