@@ -20,11 +20,11 @@ def _started_as_cli() -> bool:
 
 
 # A CLI command is one short process on desk-scale matrices, where BLAS
-# worker threads speed nothing up. Starting their pools (numpy's at import,
-# scipy's when reconstruct_real loads it) costs little on an idle machine
-# but tens of milliseconds per pool on a busy one, where a command's time
-# would swing with the machine's load. The CLI therefore runs BLAS on one thread
-# unless the environment says otherwise; library users are left alone.
+# worker threads speed nothing up. Starting their pool (at numpy's import)
+# costs little on an idle machine but tens of milliseconds on a busy one,
+# where a command's time would swing with the machine's load. The CLI
+# therefore runs BLAS on one thread unless the environment says otherwise;
+# library users are left alone.
 if _started_as_cli() and "numpy" not in _sys.modules:
     _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _os.environ.setdefault("OMP_NUM_THREADS", "1")

@@ -297,10 +297,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ValueError(
             f"unknown preset {args.preset!r}; choose from {', '.join(PRESETS)}"
         )
-    os.makedirs(args.out_dir, exist_ok=True)
     started = time.perf_counter()
     report, extra = _run_preset(args.preset, args.seed, args.trials)
     elapsed = time.perf_counter() - started
+    os.makedirs(args.out_dir, exist_ok=True)
     json_path = os.path.join(args.out_dir, f"{args.preset}.json")
     csv_path = os.path.join(args.out_dir, f"{args.preset}.csv")
     xp.write_report_json(report, json_path, extra)

@@ -1,9 +1,9 @@
-"""Tolerance-aware dense linear algebra helpers.
+"""Tolerance-aware dense linear algebra helpers, on numpy alone.
 
 Everything operates on plain numpy arrays (float64 or complex128) at desk
-scale. Rank decisions are relative: a singular value (or pivot) counts only
-if it exceeds ``rank_eps`` times the largest one, so the zero matrix has
-rank 0 and scaling a matrix never changes its rank.
+scale. Rank decisions are relative: a singular value counts only if it
+exceeds ``rank_eps`` times the largest one, so the zero matrix has rank 0
+and scaling a matrix never changes its rank.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
-    "QRPivot",
     "LeastSquares",
     "rank",
-    "qr_column_pivot",
     "null_space",
     "column_space",
     "least_squares",
@@ -31,7 +29,7 @@ __all__ = [
 class Tolerance:
     """Numerical thresholds shared across the toolkit.
 
-    rank_eps: relative cutoff for rank decisions (singular values, pivots).
+    rank_eps: relative cutoff for rank decisions (singular values).
     residual_eps: threshold for residual/membership/equality tests.
     """
 
@@ -76,45 +74,21 @@ def as_vector(x) -> np.ndarray:
     return arr
 
 
+def _numerical_rank(s: np.ndarray, tol: Tolerance) -> int:
+    """Count of the descending singular values s above rank_eps * s[0];
+    0 when there are none or the largest is 0."""
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_eps * s[0]))
+
+
 def rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above rank_eps * (largest one)."""
     arr = as_matrix(a)
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_eps * s[0]))
-
-
-class QRPivot(NamedTuple):
-    q: np.ndarray
-    r: np.ndarray
-    perm: np.ndarray
-    rank: int
-
-
-def qr_column_pivot(a, tol: Tolerance = DEFAULT_TOL) -> QRPivot:
-    """Column-pivoted QR factorization with a rank estimate.
-
-    Returns (q, r, perm, rank) with a[:, perm] == q @ r, q having
-    orthonormal columns, and rank counting the diagonal entries of r that
-    exceed rank_eps times |r[0, 0]|.
-    """
-    # Imported here, its only use, so that importing framephase (every CLI
-    # start) does not pay the ~0.4 s scipy import.
-    import scipy.linalg
-
-    arr = as_matrix(a)
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError("qr_column_pivot needs a nonempty matrix")
-    q, r, perm = scipy.linalg.qr(arr, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] <= 0.0:
-        rk = 0
-    else:
-        rk = int(np.count_nonzero(diag > tol.rank_eps * diag[0]))
-    return QRPivot(q, r, perm, rk)
+    return _numerical_rank(s, tol)
 
 
 def null_space(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -130,11 +104,7 @@ def null_space(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if arr.shape[0] == 0:
         return np.eye(n_cols, dtype=arr.dtype)
     _, s, vh = np.linalg.svd(arr, full_matrices=True)
-    if s.size == 0 or s[0] <= 0.0:
-        rk = 0
-    else:
-        rk = int(np.count_nonzero(s > tol.rank_eps * s[0]))
-    return vh[rk:].conj().T
+    return vh[_numerical_rank(s, tol):].conj().T
 
 
 def column_space(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -143,25 +113,17 @@ def column_space(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError("column_space needs a nonempty matrix")
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        rk = 0
-    else:
-        rk = int(np.count_nonzero(s > tol.rank_eps * s[0]))
-    return u[:, :rk]
+    return u[:, : _numerical_rank(s, tol)]
 
 
 class LeastSquares(NamedTuple):
     x: np.ndarray
     residual: float
-    degenerate: bool
 
 
 def least_squares(a, b, tol: Tolerance = DEFAULT_TOL) -> LeastSquares:
-    """Minimize ||a @ x - b||, returning the minimum-norm minimizer.
-
-    ``degenerate`` flags rank-deficient systems (the minimizer is then the
-    minimum-norm one among infinitely many).
-    """
+    """Minimize ||a @ x - b||, returning the minimum-norm minimizer and
+    the residual norm."""
     arr = as_matrix(a)
     rhs = as_vector(b)
     if rhs.shape[0] != arr.shape[0]:
@@ -171,9 +133,9 @@ def least_squares(a, b, tol: Tolerance = DEFAULT_TOL) -> LeastSquares:
     if np.iscomplexobj(arr) or np.iscomplexobj(rhs):
         arr = arr.astype(np.complex128, copy=False)
         rhs = rhs.astype(np.complex128, copy=False)
-    x, _, rk, _ = np.linalg.lstsq(arr, rhs, rcond=tol.rank_eps)
+    x = np.linalg.lstsq(arr, rhs, rcond=tol.rank_eps)[0]
     residual = float(np.linalg.norm(arr @ x - rhs))
-    return LeastSquares(x, residual, bool(rk < arr.shape[1]))
+    return LeastSquares(x, residual)
 
 
 def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,14 @@
 """Reconstruction of a signal ray from magnitude measurements.
 
 Real case: the coefficient vector of any preimage is a sign flip of the
-measured magnitudes. N rows chosen by pivoted QR form an invertible pivot
-block, so a preimage is fixed by its signs on the block. All sign patterns
-of the block are solved in one batched product and filtered by a per-row
-bound propagated from the acceptance threshold; the full patterns of the
-few survivors then get the exhaustive search's own least-squares
-acceptance test. Every accepted preimage's block pattern passes the
-filter, so the search matches exhaustive enumeration at a cost of
-2^(N-1) block patterns times M rows.
+measured magnitudes. N rows chosen by column-pivoted Gram-Schmidt form
+an invertible pivot block, so a preimage is fixed by its signs on the
+block. All sign patterns of the block are solved in one batched product
+and filtered by a per-row bound propagated from the acceptance threshold;
+the full patterns of the few survivors then get the exhaustive search's
+own least-squares acceptance test. Every accepted preimage's block
+pattern passes the filter, so the search matches exhaustive enumeration
+at a cost of 2^(N-1) block patterns times M rows.
 
 Complex case: the phases live on a torus and no finite enumeration exists;
 an alternating projection heuristic (project onto the coefficient range,
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .frames import COMPLEX, REAL, Frame, analysis_matrix, coefficient_range, encode_vector
-from .linalg import DEFAULT_TOL, Tolerance, least_squares, qr_column_pivot
+from .linalg import DEFAULT_TOL, Tolerance, least_squares
 from .magnitude import canonical_ray, magnitude_map, ray_equal
 
 __all__ = [
@@ -132,6 +132,27 @@ def _finalize_real(
     )
 
 
+def _pivot_block(t_ord: np.ndarray, n: int) -> np.ndarray:
+    """Sorted indices of n rows of t_ord that form an invertible block.
+
+    Greedy column-pivoted Gram-Schmidt over the rows (the pivot rule of
+    Businger and Golub's pivoted QR of t_ord.T): each step takes the row
+    with the largest norm left after projecting out the rows already
+    taken, the lowest index on a tie, as LAPACK's geqp3 does. The norms
+    are recomputed from the projected rows, not downdated, so a row nearly
+    in the span of those taken is not lost to cancellation.
+    """
+    rows = t_ord.copy()
+    taken = np.zeros(rows.shape[0], dtype=bool)
+    for _ in range(n):
+        norms = np.where(taken, -1.0, np.einsum("ij,ij->i", rows, rows))
+        p = int(np.argmax(norms))
+        taken[p] = True
+        q = rows[p] / np.sqrt(norms[p])
+        rows -= np.outer(rows @ q, q)
+    return np.flatnonzero(taken)
+
+
 def _full_patterns(pred: np.ndarray, bound: np.ndarray, significant: np.ndarray):
     """Every full sign pattern that one block candidate leaves open.
 
@@ -165,12 +186,13 @@ def reconstruct_real(
     the least-squares residual of its full signed target is at most
     residual_eps * (1 + ||a||).
 
-    Candidates come from a pivot block of N rows chosen by pivoted QR (the
-    frame spans, so the block is invertible): every sign pattern of the
-    block's k free signs is solved in one matrix product, and a pattern is
-    kept only if each row's predicted magnitude lies within that row's
-    propagated bound of the measurement. Every accepted preimage's block
-    pattern passes that filter, so this matches the exhaustive search.
+    Candidates come from a pivot block of N rows chosen by column-pivoted
+    Gram-Schmidt (the frame spans, so the block is invertible): every sign
+    pattern of the block's k free signs is solved in one matrix product,
+    and a pattern is kept only if each row's predicted magnitude lies
+    within that row's propagated bound of the measurement. Every accepted
+    preimage's block pattern passes that filter, so this matches the
+    exhaustive search.
     Statuses: Unique (one ray), Ambiguous (several), NoSolution
     (measurements inconsistent with the frame). Raises SearchBudgetExceeded
     (with partial findings) if the block's sign tree, 2^(k+1) - 1 nodes,
@@ -189,7 +211,7 @@ def reconstruct_real(
     a_ord = a[order]
     significant = a_ord > tol.residual_eps * norm_a
 
-    block = np.sort(qr_column_pivot(t_ord.T, tol).perm[: frame.n])
+    block = _pivot_block(t_ord, frame.n)
     block_sig = significant[block]
     # The block's first significant row keeps a + sign; the rest are free.
     free = np.flatnonzero(block_sig)[1:]
@@ -309,6 +331,10 @@ def reconstruct_complex(
     """
     if frame.field != COMPLEX:
         raise ValueError("reconstruct_complex requires a complex frame")
+    if restarts < 1 or max_iters < 1:
+        raise ValueError(
+            f"restarts and max_iters must be >= 1, got {restarts} and {max_iters}"
+        )
     a = _check_magnitudes(frame, magnitudes)
     norm_a = float(np.linalg.norm(a))
     threshold = tol.residual_eps * (1.0 + norm_a)

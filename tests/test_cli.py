@@ -195,6 +195,9 @@ def test_reconstruct_complex_success_and_determinism(tmp_path):
     assert json.loads(out1)["status"] == "heuristic_success"
     _, out2, _ = run_cli("reconstruct", str(frame), str(meas), "--seed", "11")
     assert out1 == out2
+    code, out, err = run_cli("reconstruct", str(frame), str(meas), "--restarts", "-3")
+    assert code == 1 and out == b""
+    assert "restarts and max_iters must be >= 1" in err
 
 
 def test_witness_command(tmp_path):
@@ -231,6 +234,16 @@ def test_experiment_preset_runs_and_unknown_preset_fails(tmp_path):
     )
     assert code == 1
     assert "unknown preset" in err
+
+    # A preset that fails leaves no output directory behind.
+    failed_dir = tmp_path / "failed"
+    code, _, err = run_cli(
+        "experiment", "--preset", "dense-interior", "--trials", "-5",
+        "--out-dir", str(failed_dir),
+    )
+    assert code == 1
+    assert "trials must be >= 0" in err
+    assert not failed_dir.exists()
 
 
 def test_threads_env_validation(tmp_path):
@@ -289,7 +302,7 @@ def test_frame_file_without_vectors_is_error(tmp_path):
     assert "error: frame file has no vectors" in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, framephase.cli; print('scipy' in sys.modules)"],
@@ -298,6 +311,23 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    # Real reconstruction picks its pivot block with numpy alone.
+    frame = tmp_path / "f.json"
+    meas = tmp_path / "m.json"
+    save_frame(Frame(REAL, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])), frame)
+    save_measurement(np.array([1.0, 2.0, 3.0]), meas)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from framephase.cli import main; "
+         f"code = main(['reconstruct', {str(frame)!r}, {str(meas)!r}]); "
+         "print(code, 'scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    assert json.loads(payload)["status"] == "unique"
+    assert last == "0 False"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from framephase.frames import (
@@ -22,6 +23,7 @@ from framephase.reconstruct import (
     STATUS_UNIQUE,
     SearchBudgetExceeded,
     _finalize_real,
+    _pivot_block,
     enumerate_ambiguities,
     error_reduction,
     reconstruct_complex,
@@ -224,6 +226,16 @@ def test_block_search_matches_exhaustive_search(seed, n, extra, case):
         assert any(oracles.same_ray(r, s) for s in result.rays)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pivot_block_matches_lapack_pivoted_qr(n):
+    # Reference: the first N column pivots of LAPACK's geqp3 on t.T.
+    for m in range(n, 2 * n + 4):
+        for seed in range(3):
+            t = np.random.default_rng([n, m, seed]).standard_normal((m, n))
+            perm = scipy.linalg.qr(t.T, pivoting=True)[2]
+            npt.assert_array_equal(_pivot_block(t, n), np.sort(perm[:n]))
+
+
 def test_block_search_recovers_n16_within_default_budget():
     f = gen_random(REAL, 16, 31, seed=16)
     x = np.random.default_rng(16).standard_normal(16)
@@ -329,6 +341,10 @@ def test_reconstruct_complex_validation():
         reconstruct_complex(gen_random(REAL, 2, 4, seed=0), np.ones(4))
     with pytest.raises(ValueError):
         reconstruct_complex(gen_random(COMPLEX, 2, 4, seed=0), np.ones(3))
+    f = gen_random(COMPLEX, 2, 4, seed=0)
+    for counts in ({"restarts": 0}, {"restarts": -3}, {"max_iters": 0}, {"max_iters": -1}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            reconstruct_complex(f, np.ones(4), **counts)
 
 
 def test_result_to_dict_fields():
