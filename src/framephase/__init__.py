@@ -29,148 +29,24 @@ if _started_as_cli() and "numpy" not in _sys.modules:
     _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from .linalg import DEFAULT_TOL, Tolerance
-from .frames import (
-    COMPLEX,
-    REAL,
-    Frame,
-    FrameBounds,
-    analysis,
-    analysis_matrix,
-    apply_invertible,
-    canonical_dual,
-    canonical_parseval,
-    coefficient_range,
-    frame_from_dict,
-    frame_operator,
-    frame_to_dict,
-    gen_full_spark,
-    gen_random,
-    gen_repeated_tail,
-    gen_windowed_fourier,
-    load_frame,
-    save_frame,
-)
-from .magnitude import (
-    SignPattern,
-    canonical_ray,
-    load_measurement,
-    magnitude_map,
-    measurement_from_dict,
-    measurement_to_dict,
-    ray_equal,
-    save_measurement,
-)
-from .injectivity import (
-    VERDICT_INJECTIVE,
-    VERDICT_NECESSARY,
-    VERDICT_NOT_INJECTIVE,
-    FullSpark,
-    FullSparkEquivalence,
-    InjectivityCertificate,
-    certificate_to_dict,
-    certify,
-    complement_property,
-    complex_size_check,
-    full_spark_test,
-    necessary_condition_for_M_2N_minus_1,
-    verify_witness,
-    witness_pair,
-)
-from .reconstruct import (
-    STATUS_AMBIGUOUS,
-    STATUS_HEURISTIC_FAIL,
-    STATUS_HEURISTIC_SUCCESS,
-    STATUS_NO_SOLUTION,
-    STATUS_UNIQUE,
-    ReconstructionResult,
-    SearchBudgetExceeded,
-    enumerate_ambiguities,
-    error_reduction,
-    reconstruct_complex,
-    reconstruct_real,
-    result_to_dict,
-)
-from .experiments import (
-    CellResult,
-    ExperimentConfig,
-    ExperimentReport,
-    ThinSetWitness,
-    run_complex_genericity,
-    run_dense_interior_real,
-    run_equivalence_invariance,
-    run_real_genericity,
-    write_report_csv,
-    write_report_json,
-)
+# The package exports the union of its modules' __all__ lists, each the
+# one place where a module declares its public names.
+from . import experiments, frames, injectivity, linalg, magnitude, reconstruct
+from .linalg import *
+from .frames import *
+from .magnitude import *
+from .injectivity import *
+from .reconstruct import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
-    "Tolerance",
-    "COMPLEX",
-    "REAL",
-    "Frame",
-    "FrameBounds",
-    "analysis",
-    "analysis_matrix",
-    "apply_invertible",
-    "canonical_dual",
-    "canonical_parseval",
-    "coefficient_range",
-    "frame_from_dict",
-    "frame_operator",
-    "frame_to_dict",
-    "gen_full_spark",
-    "gen_random",
-    "gen_repeated_tail",
-    "gen_windowed_fourier",
-    "load_frame",
-    "save_frame",
-    "SignPattern",
-    "canonical_ray",
-    "load_measurement",
-    "magnitude_map",
-    "measurement_from_dict",
-    "measurement_to_dict",
-    "ray_equal",
-    "save_measurement",
-    "VERDICT_INJECTIVE",
-    "VERDICT_NECESSARY",
-    "VERDICT_NOT_INJECTIVE",
-    "FullSpark",
-    "FullSparkEquivalence",
-    "InjectivityCertificate",
-    "certificate_to_dict",
-    "certify",
-    "complement_property",
-    "complex_size_check",
-    "full_spark_test",
-    "necessary_condition_for_M_2N_minus_1",
-    "verify_witness",
-    "witness_pair",
-    "STATUS_AMBIGUOUS",
-    "STATUS_HEURISTIC_FAIL",
-    "STATUS_HEURISTIC_SUCCESS",
-    "STATUS_NO_SOLUTION",
-    "STATUS_UNIQUE",
-    "ReconstructionResult",
-    "SearchBudgetExceeded",
-    "enumerate_ambiguities",
-    "error_reduction",
-    "reconstruct_complex",
-    "reconstruct_real",
-    "result_to_dict",
-    "CellResult",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "ThinSetWitness",
-    "run_complex_genericity",
-    "run_dense_interior_real",
-    "run_equivalence_invariance",
-    "run_real_genericity",
-    "write_report_csv",
-    "write_report_json",
+    *linalg.__all__,
+    *frames.__all__,
+    *magnitude.__all__,
+    *injectivity.__all__,
+    *reconstruct.__all__,
+    *experiments.__all__,
     "__version__",
 ]

@@ -83,12 +83,7 @@ def _check_threads_env() -> int | None:
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
-    rank_eps = getattr(args, "rank_eps", None)
-    residual_eps = getattr(args, "tol", None)
-    return Tolerance(
-        rank_eps=DEFAULT_TOL.rank_eps if rank_eps is None else rank_eps,
-        residual_eps=DEFAULT_TOL.residual_eps if residual_eps is None else residual_eps,
-    )
+    return Tolerance(rank_eps=args.rank_eps, residual_eps=args.tol)
 
 
 def _parse_numbers(text: str, field: str) -> np.ndarray:
@@ -104,14 +99,14 @@ def _add_tol_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
         type=float,
-        default=None,
+        default=DEFAULT_TOL.residual_eps,
         metavar="EPS",
         help="residual tolerance (default 1e-8)",
     )
     parser.add_argument(
         "--rank-eps",
         type=float,
-        default=None,
+        default=DEFAULT_TOL.rank_eps,
         metavar="EPS",
         help="relative rank cutoff for singular values (default 1e-10)",
     )

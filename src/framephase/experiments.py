@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from typing import Any, Callable
 
 import numpy as np
@@ -47,7 +47,6 @@ from .reconstruct import (
 )
 
 __all__ = [
-    "M_RULES",
     "ExperimentConfig",
     "CellResult",
     "ExperimentReport",
@@ -56,11 +55,8 @@ __all__ = [
     "run_dense_interior_real",
     "run_complex_genericity",
     "run_equivalence_invariance",
-    "report_to_dict",
     "write_report_json",
     "write_report_csv",
-    "thin_witness_to_dict",
-    "CSV_HEADER",
 ]
 
 M_RULES = {
@@ -98,18 +94,7 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "n_values": list(self.n_values),
-            "m_rule": self.m_rule,
-            "trials": self.trials,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "transforms": self.transforms,
-            "constructed_cases": self.constructed_cases,
-            "tol": {"rank_eps": self.tol.rank_eps, "residual_eps": self.tol.residual_eps},
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -323,7 +308,7 @@ def run_dense_interior_real(
         "trials": trials,
         "seed": seed,
         "constructed_cases": constructed_cases,
-        "tol": {"rank_eps": tol.rank_eps, "residual_eps": tol.residual_eps},
+        "tol": asdict(tol),
     }
     cells = _cell(REAL, n, m, trials, seed, trial, summarize)
     return ExperimentReport(config, cells), witnesses
@@ -395,15 +380,17 @@ def run_complex_genericity(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.to_dict(), cells)
 
 
-def _well_conditioned_invertible(
-    rng: np.random.Generator, n: int, max_cond: float = 100.0
-) -> np.ndarray:
-    """Random invertible matrix with condition number at most max_cond
+# Largest condition number of the transforms in run_equivalence_invariance.
+_MAX_COND = 100.0
+
+
+def _well_conditioned_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random invertible matrix with condition number at most _MAX_COND
     (near-singular transforms would poison tolerance-based rank checks)."""
     for _ in range(256):
         r = rng.standard_normal((n, n))
         s = np.linalg.svd(r, compute_uv=False)
-        if s[-1] > s[0] / max_cond:
+        if s[-1] > s[0] / _MAX_COND:
             return r
     raise RuntimeError("failed to sample a well-conditioned transform")
 
@@ -478,21 +465,7 @@ def _fmt_rate(value: float | None) -> str:
 def report_to_dict(report: ExperimentReport) -> dict:
     """JSON-ready form. Timing is omitted so written reports are
     byte-identical across reruns with the same config and seed."""
-    cells = []
-    for c in report.cells:
-        cells.append(
-            {
-                "field": c.field,
-                "n": c.n,
-                "m": c.m,
-                "trials": c.trials,
-                "inj_rate": c.inj_rate,
-                "rec_rate": c.rec_rate,
-                "mean_ms": None,
-                "seed": c.seed,
-                "extras": c.extras,
-            }
-        )
+    cells = [{**asdict(c), "mean_ms": None} for c in report.cells]
     return {"config": report.config, "cells": cells}
 
 
@@ -532,11 +505,6 @@ def write_report_csv(report: ExperimentReport, path: str | os.PathLike) -> None:
 
 def thin_witness_to_dict(witness: ThinSetWitness) -> dict:
     return {
-        "subset": list(witness.subset),
-        "x": encode_vector(witness.x, REAL),
-        "y": encode_vector(witness.y, REAL),
-        "x_original": encode_vector(witness.x_original, REAL),
-        "y_original": encode_vector(witness.y_original, REAL),
-        "seed_entropy": list(witness.seed_entropy),
-        "verified": witness.verified,
+        key: encode_vector(value, REAL) if isinstance(value, np.ndarray) else value
+        for key, value in asdict(witness).items()
     }

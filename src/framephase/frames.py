@@ -39,8 +39,6 @@ __all__ = [
     "frame_from_dict",
     "save_frame",
     "load_frame",
-    "encode_vector",
-    "decode_vector",
 ]
 
 REAL = "real"
@@ -182,6 +180,10 @@ def apply_invertible(frame: Frame, r, tol: Tolerance = DEFAULT_TOL) -> Frame:
     return Frame(frame.field, (r @ frame.vectors.T).T)
 
 
+# Least distance from a new full-spark vector to each span it must avoid.
+_MIN_GAP = 1e-6
+
+
 def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
@@ -201,13 +203,13 @@ def gen_random(field: str, n: int, m: int, seed=0) -> Frame:
     raise RuntimeError("could not sample a spanning frame (should not happen)")
 
 
-def gen_full_spark(field: str, n: int, m: int, seed=0, min_gap: float = 1e-6) -> Frame:
+def gen_full_spark(field: str, n: int, m: int, seed=0) -> Frame:
     """Full-spark frame: every subset of N vectors is linearly independent.
 
     Greedy construction: start from the standard orthonormal basis, then
     repeatedly draw a random unit vector and accept it only if its distance
     to the span of every (N-1)-subset of the vectors chosen so far exceeds
-    ``min_gap``. Each accepted vector therefore completes no dependent
+    ``_MIN_GAP``. Each accepted vector therefore completes no dependent
     N-subset. Cost grows with C(M-1, N-1); intended for desk-scale M.
     """
     if m < n or n < 1:
@@ -228,7 +230,7 @@ def gen_full_spark(field: str, n: int, m: int, seed=0, min_gap: float = 1e-6) ->
                     continue
                 basis = column_space(np.stack([chosen[i] for i in subset]).T)
                 resid = cand - basis @ (basis.conj().T @ cand)
-                if np.linalg.norm(resid) <= min_gap:
+                if np.linalg.norm(resid) <= _MIN_GAP:
                     ok = False
                     break
             if ok:
@@ -309,11 +311,33 @@ def encode_vector(x, field: str) -> list:
     return [float(v) for v in np.real(x)]
 
 
+def _number(v) -> float:
+    """A JSON number as a float; strings and bools are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def decode_vector(data, field: str) -> np.ndarray:
-    """Inverse of encode_vector."""
+    """Inverse of encode_vector: a list of numbers, or of [re, im] pairs
+    of numbers for the complex field."""
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"expected a list of numbers, got {data!r}")
     if field == COMPLEX:
-        return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    return np.array([float(v) for v in data], dtype=np.float64)
+        if not all(isinstance(v, (list, tuple)) and len(v) == 2 for v in data):
+            raise ValueError(f"expected a list of [re, im] pairs, got {data!r}")
+        return np.array(
+            [complex(_number(re), _number(im)) for re, im in data], dtype=np.complex128
+        )
+    return np.array([_number(v) for v in data], dtype=np.float64)
+
+
+def decode_count(data: dict, key: str) -> int:
+    """The whole-number header entry ``data[key]``, such as ``n`` or ``m``."""
+    v = data[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
+        raise ValueError(f"{key!r} must be a whole number, got {v!r}")
+    return int(v)
 
 
 def frame_to_dict(frame: Frame) -> dict:
@@ -335,7 +359,7 @@ def frame_from_dict(data: dict) -> Frame:
     if not data["vectors"]:
         raise ValueError("frame file has no vectors")
     vectors = np.stack([decode_vector(v, field) for v in data["vectors"]])
-    if vectors.shape != (int(data["m"]), int(data["n"])):
+    if vectors.shape != (decode_count(data, "m"), decode_count(data, "n")):
         raise ValueError(
             f"vector block has shape {vectors.shape}, header says ({data['m']}, {data['n']})"
         )

@@ -55,6 +55,9 @@ VERDICT_INJECTIVE = "injective"
 VERDICT_NOT_INJECTIVE = "not_injective"
 VERDICT_NECESSARY = "necessary_conditions_pass"
 
+# Most frame vectors whose 2^(M-1) splits complement_property enumerates.
+_MAX_VECTORS = 24
+
 
 @dataclass(frozen=True)
 class InjectivityCertificate:
@@ -110,9 +113,24 @@ def witness_pair(
     return u + v, u - v
 
 
-def complement_property(
-    frame: Frame, tol: Tolerance = DEFAULT_TOL, max_vectors: int = 24
+def _not_injective(
+    frame: Frame,
+    witness: tuple[np.ndarray, np.ndarray],
+    tol: Tolerance,
+    what: str,
+    failing_subset: SignPattern | None,
+    checked_subsets: int,
 ) -> InjectivityCertificate:
+    """NotInjective certificate carrying ``witness``, which must verify;
+    an unverified witness raises RuntimeError naming ``what``."""
+    if not verify_witness(frame, *witness, tol):
+        raise RuntimeError(f"{what} did not verify")
+    return InjectivityCertificate(
+        VERDICT_NOT_INJECTIVE, failing_subset, witness, checked_subsets
+    )
+
+
+def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> InjectivityCertificate:
     """Check every subset/complement pair for the spanning condition.
 
     Pairs are enumerated once each via bitmasks with index 0 fixed inside
@@ -124,9 +142,9 @@ def complement_property(
     necessary but not sufficient).
     """
     m, n = frame.m, frame.n
-    if m > max_vectors:
+    if m > _MAX_VECTORS:
         raise ValueError(
-            f"M={m} exceeds the subset enumeration budget ({max_vectors} vectors)"
+            f"M={m} exceeds the subset enumeration budget ({_MAX_VECTORS} vectors)"
         )
     vectors = frame.vectors
     pairs = 1 << (m - 1)
@@ -142,16 +160,13 @@ def complement_property(
             if rank(vectors[idx_c], tol) >= n:
                 continue
         pattern = SignPattern(smask, m)
-        x, y = witness_pair(frame, pattern, tol)
-        if not verify_witness(frame, x, y, tol):
-            raise RuntimeError(
-                f"witness for failing subset {pattern.indices()} did not verify"
-            )
-        return InjectivityCertificate(
-            verdict=VERDICT_NOT_INJECTIVE,
-            failing_subset=pattern,
-            witness=(x, y),
-            checked_subsets=rest + 1,
+        return _not_injective(
+            frame,
+            witness_pair(frame, pattern, tol),
+            tol,
+            f"witness for failing subset {pattern.indices()}",
+            pattern,
+            rest + 1,
         )
     verdict = VERDICT_INJECTIVE if frame.field == REAL else VERDICT_NECESSARY
     return InjectivityCertificate(
@@ -280,16 +295,10 @@ def _complex_minimal_count_witness(
         z = u / u[pivot]
         w_rot = 1j * w / w[pivot]
         plus, minus = z + w_rot, z - w_rot
-    x = _pullback(frame, plus, tol)
-    y = _pullback(frame, minus, tol)
-    if not verify_witness(frame, x, y, tol):
-        raise RuntimeError("complex size witness did not verify")
-    return x, y
+    return _pullback(frame, plus, tol), _pullback(frame, minus, tol)
 
 
-def certify(
-    frame: Frame, tol: Tolerance = DEFAULT_TOL, max_vectors: int = 24
-) -> InjectivityCertificate:
+def certify(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> InjectivityCertificate:
     """Full decision procedure combining subset and size obstructions.
 
     Real frames: the subset condition decides injectivity outright.
@@ -299,31 +308,19 @@ def certify(
     the subset check runs and a pass means NecessaryConditionsPass only.
     """
     if frame.field == REAL:
-        return complement_property(frame, tol, max_vectors)
+        return complement_property(frame, tol)
     n, m = frame.n, frame.m
     if n >= 2 and m <= 2 * n - 2:
         pattern = SignPattern.from_indices(range(m // 2), m)
-        x, y = witness_pair(frame, pattern, tol)
-        if not verify_witness(frame, x, y, tol):
-            raise RuntimeError("balanced-split witness did not verify")
-        return InjectivityCertificate(
-            verdict=VERDICT_NOT_INJECTIVE,
-            failing_subset=pattern,
-            witness=(x, y),
-            checked_subsets=1,
+        witness = witness_pair(frame, pattern, tol)
+        return _not_injective(frame, witness, tol, "balanced-split witness", pattern, 1)
+    cert = complement_property(frame, tol)
+    if n >= 2 and m == 2 * n - 1 and cert.verdict != VERDICT_NOT_INJECTIVE:
+        witness = _complex_minimal_count_witness(frame, tol)
+        return _not_injective(
+            frame, witness, tol, "complex size witness", None, cert.checked_subsets
         )
-    if n >= 2 and m == 2 * n - 1:
-        cert = complement_property(frame, tol, max_vectors)
-        if cert.verdict == VERDICT_NOT_INJECTIVE:
-            return cert
-        x, y = _complex_minimal_count_witness(frame, tol)
-        return InjectivityCertificate(
-            verdict=VERDICT_NOT_INJECTIVE,
-            failing_subset=None,
-            witness=(x, y),
-            checked_subsets=cert.checked_subsets,
-        )
-    return complement_property(frame, tol, max_vectors)
+    return cert
 
 
 def certificate_to_dict(cert: InjectivityCertificate, field: str) -> dict:

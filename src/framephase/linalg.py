@@ -13,16 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
-    "LeastSquares",
-    "rank",
-    "null_space",
-    "column_space",
-    "least_squares",
-    "sym_eig",
-]
+__all__ = ["Tolerance", "DEFAULT_TOL"]
 
 
 @dataclass(frozen=True)

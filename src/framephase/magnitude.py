@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, analysis
+from .frames import REAL, Frame, analysis, decode_count, decode_vector
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
-    "MAGNITUDE_KEYS",
     "SignPattern",
     "magnitude_map",
     "canonical_ray",
@@ -114,12 +113,21 @@ class SignPattern:
 MAGNITUDE_KEYS = ("m", "magnitudes")
 
 
-def measurement_to_dict(magnitudes) -> dict:
+def as_magnitudes(magnitudes, m: int | None = None) -> np.ndarray:
+    """Coerce input to a 1-d float64 array of finite, nonnegative entries,
+    of length m when m is given."""
     a = np.asarray(magnitudes, dtype=np.float64)
     if a.ndim != 1:
-        raise ValueError("magnitudes must be a 1-d array")
-    if np.any(a < 0.0) or not np.all(np.isfinite(a)):
+        raise ValueError(f"magnitudes must be a 1-d array, got shape {a.shape}")
+    if m is not None and a.shape[0] != m:
+        raise ValueError(f"expected {m} magnitudes, got {a.shape[0]}")
+    if not np.all(np.isfinite(a)) or np.any(a < 0.0):
         raise ValueError("magnitudes must be finite and nonnegative")
+    return a
+
+
+def measurement_to_dict(magnitudes) -> dict:
+    a = as_magnitudes(magnitudes)
     return {"m": int(a.shape[0]), "magnitudes": [float(v) for v in a]}
 
 
@@ -127,14 +135,7 @@ def measurement_from_dict(data: dict) -> np.ndarray:
     for key in MAGNITUDE_KEYS:
         if key not in data:
             raise ValueError(f"measurement file is missing key {key!r}")
-    a = np.asarray([float(v) for v in data["magnitudes"]], dtype=np.float64)
-    if a.shape[0] != int(data["m"]):
-        raise ValueError(
-            f"magnitude block has length {a.shape[0]}, header says {data['m']}"
-        )
-    if np.any(a < 0.0) or not np.all(np.isfinite(a)):
-        raise ValueError("magnitudes must be finite and nonnegative")
-    return a
+    return as_magnitudes(decode_vector(data["magnitudes"], REAL), decode_count(data, "m"))
 
 
 def save_measurement(magnitudes, path: str | os.PathLike) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .frames import COMPLEX, REAL, Frame, analysis_matrix, coefficient_range, encode_vector
 from .linalg import DEFAULT_TOL, Tolerance, least_squares
-from .magnitude import canonical_ray, magnitude_map, ray_equal
+from .magnitude import as_magnitudes, canonical_ray, magnitude_map, ray_equal
 
 __all__ = [
     "STATUS_UNIQUE",
@@ -50,6 +50,8 @@ STATUS_HEURISTIC_FAIL = "heuristic_fail"
 
 # Block sign patterns solved per matrix product in reconstruct_real.
 _CHUNK = 4096
+# Error-reduction sweeps without meaningful improvement before it stops.
+_STALL_WINDOW = 30
 
 
 @dataclass
@@ -81,17 +83,6 @@ class SearchBudgetExceeded(RuntimeError):
     def __init__(self, message: str, partial: ReconstructionResult):
         super().__init__(message)
         self.partial = partial
-
-
-def _check_magnitudes(frame: Frame, magnitudes) -> np.ndarray:
-    a = np.asarray(magnitudes, dtype=np.float64)
-    if a.shape != (frame.m,):
-        raise ValueError(f"expected {frame.m} magnitudes, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("magnitudes must be finite")
-    if np.any(a < 0.0):
-        raise ValueError("magnitudes must be nonnegative")
-    return a
 
 
 def _finalize_real(
@@ -201,7 +192,7 @@ def reconstruct_real(
     """
     if frame.field != REAL:
         raise ValueError("reconstruct_real requires a real frame")
-    a = _check_magnitudes(frame, magnitudes)
+    a = as_magnitudes(magnitudes, frame.m)
     t = analysis_matrix(frame)
     norm_a = float(np.linalg.norm(a))
     threshold = tol.residual_eps * (1.0 + norm_a)
@@ -272,7 +263,6 @@ def error_reduction(
     start: np.ndarray,
     max_iters: int,
     tol: Tolerance = DEFAULT_TOL,
-    stall_window: int = 30,
 ) -> tuple[np.ndarray, list[float]]:
     """Alternating projection between the coefficient range and the
     magnitude torus, from a given starting coefficient vector.
@@ -282,7 +272,7 @@ def error_reduction(
     modulus is at or below residual_eps unchanged (their phase is not
     determined). The measurement residual of the projected iterate is
     non-increasing; returns the best projected iterate and the residual
-    history. Stops early on success or when ``stall_window`` sweeps bring
+    history. Stops early on success or when ``_STALL_WINDOW`` sweeps bring
     no meaningful improvement.
     """
     a = np.asarray(magnitudes, dtype=np.float64)
@@ -303,7 +293,7 @@ def error_reduction(
             best_p = p
         if res <= threshold:
             break
-        if len(history) > stall_window and history[-stall_window - 1] - res < stall_eps:
+        if len(history) > _STALL_WINDOW and history[-_STALL_WINDOW - 1] - res < stall_eps:
             break
         c = np.divide(a * p, mags, out=p.copy(), where=mags > tol.residual_eps)
     if best_p is None:
@@ -335,7 +325,7 @@ def reconstruct_complex(
         raise ValueError(
             f"restarts and max_iters must be >= 1, got {restarts} and {max_iters}"
         )
-    a = _check_magnitudes(frame, magnitudes)
+    a = as_magnitudes(magnitudes, frame.m)
     norm_a = float(np.linalg.norm(a))
     threshold = tol.residual_eps * (1.0 + norm_a)
     if norm_a <= tol.residual_eps:

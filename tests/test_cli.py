@@ -302,6 +302,49 @@ def test_frame_file_without_vectors_is_error(tmp_path):
     assert "error: frame file has no vectors" in err
 
 
+_FRAME_3X2 = {"field": "real", "n": 2, "m": 3, "vectors": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "command,frame,measurement,message",
+    [
+        ("certify", {**_FRAME_3X2, "m": 2, "vectors": ["10", "01"]}, None,
+         "expected a list of numbers"),
+        ("certify", {**_FRAME_3X2, "vectors": [["1", "0"], ["0", "1"], ["1", "1"]]}, None,
+         "expected a number"),
+        ("certify", {"field": "complex", "n": 1, "m": 2, "vectors": [[[True, 0]], [[0, 1]]]},
+         None, "expected a number"),
+        ("certify", {**_FRAME_3X2, "m": 3.7}, None, "'m' must be a whole number"),
+        ("certify", {"field": "real", "n": 1, "m": True, "vectors": [[1.0]]}, None,
+         "'m' must be a whole number"),
+        ("measure", {**_FRAME_3X2, "n": 2.9}, None, "'n' must be a whole number"),
+        ("reconstruct", _FRAME_3X2, {"m": 3, "magnitudes": "123"},
+         "expected a list of numbers"),
+        ("reconstruct", _FRAME_3X2, {"m": 3, "magnitudes": [1.0, True, 2.0]},
+         "expected a number"),
+        ("reconstruct", _FRAME_3X2, {"m": 3.2, "magnitudes": [1.0, 1.0, 2.0]},
+         "'m' must be a whole number"),
+    ],
+    ids=["vectors-as-strings", "string-entries", "bool-entry", "fractional-m", "bool-m",
+         "fractional-n", "magnitudes-as-string", "bool-magnitude", "fractional-meas-m"],
+)
+def test_file_values_that_are_not_numbers_are_errors(
+    tmp_path, command, frame, measurement, message
+):
+    frame_path = tmp_path / "frame.json"
+    frame_path.write_text(json.dumps(frame))
+    args = [command, str(frame_path)]
+    if command == "measure":
+        args += ["--x", "1,2", "--out", str(tmp_path / "m.json")]
+    if measurement is not None:
+        meas_path = tmp_path / "meas.json"
+        meas_path.write_text(json.dumps(measurement))
+        args.append(str(meas_path))
+    code, out, err = run_cli(*args)
+    assert code == 1 and out == b""
+    assert f"error: {message}" in err
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c",

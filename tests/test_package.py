@@ -1,0 +1,47 @@
+import importlib
+
+import framephase
+
+MODULES = ("linalg", "frames", "magnitude", "injectivity", "reconstruct", "experiments")
+
+# Public in their modules, but not part of the package's exports.
+UNEXPORTED = {
+    "linalg": ("LeastSquares", "rank", "null_space", "column_space", "least_squares", "sym_eig"),
+    "frames": ("encode_vector", "decode_vector"),
+    "magnitude": ("MAGNITUDE_KEYS",),
+    "experiments": ("M_RULES", "CSV_HEADER", "report_to_dict", "thin_witness_to_dict"),
+}
+
+
+def _module(name: str):
+    return importlib.import_module(f"framephase.{name}")
+
+
+def test_no_name_is_in_two_module_lists():
+    # A later star import in the package would silently shadow the first.
+    owner = {}
+    for name in MODULES:
+        for public in _module(name).__all__:
+            assert public not in owner, f"{public} is in {owner[public]} and {name}"
+            owner[public] = name
+
+
+def test_package_exports_each_module_name_once_as_the_same_object():
+    exported = framephase.__all__
+    assert len(set(exported)) == len(exported)
+    owner = {public: name for name in MODULES for public in _module(name).__all__}
+    assert set(exported) == set(owner) | {"__version__"}
+    for public, name in owner.items():
+        assert getattr(framephase, public) is getattr(_module(name), public), public
+    # Beyond its exports the package binds only its submodules.
+    public_attrs = {k for k in dir(framephase) if not k.startswith("_")}
+    assert public_attrs - set(exported) <= set(MODULES) | {"cli"}
+
+
+def test_unexported_names_stay_importable_from_their_modules():
+    for name, names in UNEXPORTED.items():
+        module = _module(name)
+        for public in names:
+            assert hasattr(module, public), f"{name}.{public}"
+            assert public not in module.__all__
+            assert public not in framephase.__all__
