@@ -1,7 +1,12 @@
+import json
+from unittest.mock import patch
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from framephase import injectivity
 from framephase.frames import COMPLEX, REAL, Frame, gen_full_spark, gen_random, gen_repeated_tail
 from framephase.injectivity import (
     VERDICT_INJECTIVE,
@@ -16,6 +21,7 @@ from framephase.injectivity import (
     verify_witness,
     witness_pair,
 )
+from framephase.linalg import Tolerance, rank
 from framephase.magnitude import SignPattern, magnitude_map, ray_equal
 
 import oracles
@@ -212,3 +218,142 @@ def test_certificate_to_dict_shapes():
     assert d["failing_subset"] is None
     assert d["witness"] is None
     assert d["checked_subsets"] == 4
+
+
+def _reference_complement_property(frame, tol):
+    """The per-split rank test on every split, with no screen."""
+    m, n = frame.m, frame.n
+    if m > injectivity._MAX_VECTORS:
+        raise ValueError(
+            f"M={m} exceeds the subset enumeration budget ({injectivity._MAX_VECTORS} vectors)"
+        )
+    vectors = frame.vectors
+    pairs = 1 << (m - 1)
+    for rest in range(pairs):
+        smask = (rest << 1) | 1
+        if smask.bit_count() >= n:
+            idx_s = [i for i in range(m) if smask >> i & 1]
+            if rank(vectors[idx_s], tol) >= n:
+                continue
+        cmask = smask ^ ((1 << m) - 1)
+        if cmask.bit_count() >= n:
+            idx_c = [i for i in range(m) if cmask >> i & 1]
+            if rank(vectors[idx_c], tol) >= n:
+                continue
+        pattern = SignPattern(smask, m)
+        return injectivity._not_injective(
+            frame,
+            witness_pair(frame, pattern, tol),
+            tol,
+            f"witness for failing subset {pattern.indices()}",
+            pattern,
+            rest + 1,
+        )
+    verdict = VERDICT_INJECTIVE if frame.field == REAL else VERDICT_NECESSARY
+    return injectivity.InjectivityCertificate(verdict, None, None, pairs)
+
+
+def _outcome(check, frame, tol):
+    """Certificate bytes, or the exception's type and message."""
+    try:
+        cert = check(frame, tol)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc)
+    return json.dumps(certificate_to_dict(cert, frame.field))
+
+
+def _assert_same_as_per_split_rank_test(frame, tol):
+    expected = _outcome(_reference_complement_property, frame, tol)
+    assert _outcome(complement_property, frame, tol) == expected
+    with patch.object(injectivity, "complement_property", _reference_complement_property):
+        expected = _outcome(certify, frame, tol)
+    assert _outcome(certify, frame, tol) == expected
+
+
+_FRAME_CASES = [
+    "gaussian", "duplicate", "parallel", "near-parallel", "scaled",
+    "near-low-dim", "near-failing-split", "zero-row",
+]
+
+
+def _frame_case(seed, field, n, m, case):
+    """A seeded frame of the named kind, or None when its rows do not span."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        v = rng.standard_normal(shape)
+        return v + 1j * rng.standard_normal(shape) if field == COMPLEX else v
+
+    v = draw(m, n)
+    eps = 10.0 ** rng.uniform(-14, -4)
+    i, j = rng.choice(m, 2, replace=False) if m > 1 else (0, 0)
+    if case == "duplicate":
+        v[j] = v[i]
+    elif case == "parallel":
+        v[j] = draw(1)[0] * v[i]
+    elif case == "near-parallel":
+        v[j] = draw(1)[0] * v[i] + eps * draw(n)
+    elif case == "scaled":
+        v *= 10.0 ** rng.uniform(-12, 12, (m, 1))
+    elif case == "near-low-dim":
+        v = draw(m, n - 1) @ draw(n - 1, n) + eps * draw(m, n)
+    elif case == "near-failing-split":
+        # Each side lies within eps (or a second scale) of a hyperplane.
+        side = rng.random(m) < 0.5
+        side[0] = True
+        for rows, gap in ((side, eps), (~side, 10.0 ** rng.uniform(-14, -4))):
+            u = draw(n)
+            u /= np.linalg.norm(u)
+            k = int(rows.sum())
+            flat = v[rows] - np.outer(v[rows] @ u.conj(), u)
+            v[rows] = flat + gap * np.outer(draw(k), u)
+    elif case == "zero-row":
+        v[j] = 0.0
+    try:
+        return Frame(field, v)
+    except ValueError:
+        return None
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from([REAL, COMPLEX]),
+    n=st.integers(1, 5),
+    extra=st.integers(0, 9),
+    case=st.sampled_from(_FRAME_CASES),
+    rank_eps=st.sampled_from([1e-10, 1e-6, 1e-3, 0.3]),
+)
+def test_screened_splits_match_per_split_rank_test(seed, field, n, extra, case, rank_eps):
+    frame = _frame_case(seed, field, n, min(n + extra, 14), case)
+    assume(frame is not None)
+    _assert_same_as_per_split_rank_test(frame, Tolerance(rank_eps=rank_eps))
+
+
+@pytest.mark.parametrize("rank_eps", [1e-10, 1e-6, 1e-3])
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0, 10.0])
+def test_screen_boundary_matches_per_split_rank_test(ratio, rank_eps):
+    # Split {0..3} | {4..7} of a real N=3 frame; each side has
+    # sigma_3 / sigma_1 = ratio * rank_eps exactly.
+    rng = np.random.default_rng(17)
+    sigmas = np.array([1.0, 0.7, ratio * rank_eps])
+
+    def side():
+        left = np.linalg.qr(rng.standard_normal((4, 3)))[0]
+        right = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        return left * sigmas @ right.T
+
+    v = np.vstack([side(), side()])
+    for rows in (v[:4], v[4:]):
+        s = np.linalg.svd(rows, compute_uv=False)
+        assert s[-1] / s[0] == pytest.approx(ratio * rank_eps, rel=1e-4)
+    tol = Tolerance(rank_eps=rank_eps)
+    if ratio <= 2.0:
+        # Neither side is accepted without the rank test: split 7 is S = {0..3}.
+        assert 7 in injectivity._unscreened_splits(v, tol)
+    _assert_same_as_per_split_rank_test(Frame(REAL, v), tol)
