@@ -62,8 +62,6 @@ __all__ = [
 M_RULES = {
     "2n-1": lambda n: 2 * n - 1,
     "2n-2": lambda n: 2 * n - 2,
-    "2n": lambda n: 2 * n,
-    "4n-2": lambda n: 4 * n - 2,
 }
 _RULE_CHOICES = tuple(M_RULES) + ("both", "all")
 
@@ -371,7 +369,7 @@ def run_complex_genericity(cfg: ExperimentConfig) -> ExperimentReport:
                 ray = result.rays[0]
                 return ray_equal(ray, x, loose) and float(
                     np.linalg.norm(magnitude_map(frame, ray) - a)
-                ) <= 1e-6 * (1.0 + float(np.linalg.norm(a)))
+                ) <= loose.residual_bound(a)
 
             def summarize_recovery(successes: list[bool]):
                 return None, sum(successes) / cfg.trials, {"regime": float(m >= 4 * n - 2)}

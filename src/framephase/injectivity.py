@@ -58,6 +58,9 @@ VERDICT_NECESSARY = "necessary_conditions_pass"
 # Most frame vectors whose 2^(M-1) splits complement_property enumerates.
 _MAX_VECTORS = 24
 
+# Most N-subsets full_spark_test checks.
+_MAX_SUBSETS = 2_000_000
+
 # complement_property screens the splits in blocks of 64 masks that double
 # up to this many; larger blocks cost memory and save no time.
 _SCREEN_BLOCK = 512
@@ -84,8 +87,7 @@ def verify_witness(frame: Frame, x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     residual_eps * (1 + ||a||), and distinct rays."""
     a = magnitude_map(frame, x)
     b = magnitude_map(frame, y)
-    scale = 1.0 + max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    if np.linalg.norm(a - b) > tol.residual_eps * scale:
+    if np.linalg.norm(a - b) > tol.residual_bound(a, b):
         return False
     return not ray_equal(np.asarray(x), np.asarray(y), tol)
 
@@ -134,20 +136,44 @@ def _not_injective(
     )
 
 
-def _unscreened_splits(vectors: np.ndarray, tol: Tolerance):
-    """Yield, in ascending order, each split number ``rest`` (S mask
-    ``(rest << 1) | 1``) for which the Gram screen accepts neither side.
+def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> InjectivityCertificate:
+    """Check every subset/complement pair for the spanning condition.
 
-    A block of masks at a time, a 0/1 selection matrix times the stacked
-    outer products conj(f_i) f_i^T gives the Gram matrix of every S side and
-    every complement, and one batched eigvalsh gives their eigenvalues.
+    Pairs are enumerated once each via bitmasks with index 0 fixed inside
+    S, in ascending mask order, so the lowest failing mask wins. A side
+    with fewer than N vectors is rank deficient without further work. On
+    failure the certificate carries the subset and a verified witness; on
+    success the verdict is Injective for real frames and
+    NecessaryConditionsPass for complex ones (where the condition is
+    necessary but not sufficient).
+
+    The splits are walked in blocks of 64 that double up to _SCREEN_BLOCK.
+    Each block's sides are boolean rows (S, then every complement); a 0/1
+    selection of the stacked outer products conj(f_i) f_i^T gives all their
+    Gram matrices, and one batched eigvalsh screens them. Only the splits
+    whose sides the screen leaves undecided get the rank test, S side
+    first, so the verdict, failing subset, witness and count are those of
+    the rank test on every split. The screen accepts a side as spanning
+    when the smallest eigenvalue of its Gram matrix exceeds theta times its
+    trace, with theta = max(4 rank_eps^2, 1e-12). That is safe: the trace is
+    at least sigma_1^2 and lambda_min is sigma_N^2, so an accepted side has
+    sigma_N / sigma_1 >= 2 rank_eps, and rank() counts all N of its
+    singular values. eigvalsh and forming the Gram matrix err by about
+    N M u times the trace (u the unit roundoff, M <= 24), far below the
+    1e-12 floor; the frame is scaled to entries of at most 1 so nothing
+    overflows, and an accepted lambda_min must be a normal float, so
+    underflow cannot fake a margin. Since lambda_min <= trace / N, the
+    screen is skipped when theta >= 1/N, and the rank test decides every
+    split.
     """
-    m, n = vectors.shape
+    m, n = frame.m, frame.n
+    if m > _MAX_VECTORS:
+        raise ValueError(
+            f"M={m} exceeds the subset enumeration budget ({_MAX_VECTORS} vectors)"
+        )
+    vectors = frame.vectors
     pairs = 1 << (m - 1)
     theta = max(4.0 * tol.rank_eps**2, 1e-12)
-    if theta >= 1.0 / n:  # lambda_min <= trace / N: no side could pass
-        yield from range(pairs)
-        return
     scaled = vectors / np.abs(vectors).max()  # no Gram entry overflows
     outer = (scaled.conj()[:, :, None] * scaled[:, None, :]).reshape(m, n * n)
     # Complex entries as (re, im) float pairs, so the 0/1 rows multiply them
@@ -162,70 +188,28 @@ def _unscreened_splits(vectors: np.ndarray, tol: Tolerance):
         in_s = (((rests << 1) | 1)[:, None] & bits) != 0
         sides = np.concatenate([in_s, ~in_s])
         full = sides.sum(axis=1) >= n  # a side of fewer than N vectors never spans
-        # The Gram stack is a temporary, so two blocks' stacks never coexist.
-        lam = np.linalg.eigvalsh(
-            (sides[full].astype(np.float64) @ outer_flat).view(outer.dtype).reshape(-1, n, n)
-        )
         spans = np.zeros(2 * size, dtype=bool)
-        spans[full] = lam[:, 0] > np.maximum(theta * lam.sum(axis=1), floor)
-        yield from rests[~(spans[:size] | spans[size:])].tolist()
+        if theta < 1.0 / n:  # else lambda_min <= trace / N leaves nothing to accept
+            # The Gram stack is a temporary, so two blocks' stacks never coexist.
+            lam = np.linalg.eigvalsh(
+                (sides[full].astype(np.float64) @ outer_flat).view(outer.dtype).reshape(-1, n, n)
+            )
+            spans[full] = lam[:, 0] > np.maximum(theta * lam.sum(axis=1), floor)
+        for i in np.flatnonzero(~(spans[:size] | spans[size:])).tolist():
+            if any(full[j] and rank(vectors[sides[j]], tol) >= n for j in (i, size + i)):
+                continue
+            rest = start + i
+            pattern = SignPattern((rest << 1) | 1, m)
+            return _not_injective(
+                frame,
+                witness_pair(frame, pattern, tol),
+                tol,
+                f"witness for failing subset {pattern.indices()}",
+                pattern,
+                rest + 1,
+            )
         start += size
         block = min(2 * block, _SCREEN_BLOCK)
-
-
-def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> InjectivityCertificate:
-    """Check every subset/complement pair for the spanning condition.
-
-    Pairs are enumerated once each via bitmasks with index 0 fixed inside
-    S, in ascending mask order, so the lowest failing mask wins. A side
-    with fewer than N vectors is rank deficient without further work. On
-    failure the certificate carries the subset and a verified witness; on
-    success the verdict is Injective for real frames and
-    NecessaryConditionsPass for complex ones (where the condition is
-    necessary but not sufficient).
-
-    A batched Gram screen decides most splits first; only the splits it
-    cannot decide get the per-split rank test, so the verdict, failing
-    subset, witness and count are those of the rank test on every split.
-    The screen accepts a side as spanning when the smallest eigenvalue of
-    its Gram matrix exceeds theta times its trace, with
-    theta = max(4 rank_eps^2, 1e-12). That is safe: the trace is at least
-    sigma_1^2 and lambda_min is sigma_N^2, so an accepted side has
-    sigma_N / sigma_1 >= 2 rank_eps, and rank() counts all N of its
-    singular values. eigvalsh and forming the Gram matrix err by about
-    N M u times the trace (u the unit roundoff, M <= 24), far below the
-    1e-12 floor; the frame is scaled to entries of at most 1 so nothing
-    overflows, and an accepted lambda_min must be a normal float, so
-    underflow cannot fake a margin. Since lambda_min <= trace / N, the
-    screen is skipped when theta >= 1/N.
-    """
-    m, n = frame.m, frame.n
-    if m > _MAX_VECTORS:
-        raise ValueError(
-            f"M={m} exceeds the subset enumeration budget ({_MAX_VECTORS} vectors)"
-        )
-    vectors = frame.vectors
-    pairs = 1 << (m - 1)
-    for rest in _unscreened_splits(vectors, tol):
-        smask = (rest << 1) | 1
-        if smask.bit_count() >= n:
-            idx_s = [i for i in range(m) if smask >> i & 1]
-            if rank(vectors[idx_s], tol) >= n:
-                continue
-        cmask = smask ^ ((1 << m) - 1)
-        if cmask.bit_count() >= n:
-            idx_c = [i for i in range(m) if cmask >> i & 1]
-            if rank(vectors[idx_c], tol) >= n:
-                continue
-        pattern = SignPattern(smask, m)
-        return _not_injective(
-            frame,
-            witness_pair(frame, pattern, tol),
-            tol,
-            f"witness for failing subset {pattern.indices()}",
-            pattern,
-            rest + 1,
-        )
     verdict = VERDICT_INJECTIVE if frame.field == REAL else VERDICT_NECESSARY
     return InjectivityCertificate(
         verdict=verdict, failing_subset=None, witness=None, checked_subsets=pairs
@@ -237,9 +221,7 @@ class FullSpark(NamedTuple):
     dependent_subset: tuple[int, ...] | None
 
 
-def full_spark_test(
-    frame: Frame, tol: Tolerance = DEFAULT_TOL, max_subsets: int = 2_000_000
-) -> FullSpark:
+def full_spark_test(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> FullSpark:
     """Whether every subset of N frame vectors is linearly independent.
 
     Subsets are visited in lexicographic order; the first dependent one is
@@ -249,9 +231,9 @@ def full_spark_test(
     """
     m, n = frame.m, frame.n
     total = math.comb(m, n)
-    if total > max_subsets:
+    if total > _MAX_SUBSETS:
         raise ValueError(
-            f"C({m},{n}) = {total} subsets exceeds the budget ({max_subsets})"
+            f"C({m},{n}) = {total} subsets exceeds the budget ({_MAX_SUBSETS})"
         )
     vectors = frame.vectors
     for subset in itertools.combinations(range(m), n):
@@ -314,8 +296,7 @@ def necessary_condition_for_M_2N_minus_1(
 def _pullback(frame: Frame, coeff: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Recover x with T x = coeff for a coefficient vector known to lie in W."""
     sol = least_squares(analysis_matrix(frame), coeff, tol)
-    scale = 1.0 + float(np.linalg.norm(coeff))
-    if sol.residual > tol.residual_eps * scale:
+    if sol.residual > tol.residual_bound(coeff):
         raise RuntimeError(
             f"coefficient vector is not in the range (residual {sol.residual:.3e})"
         )

@@ -33,6 +33,11 @@ class Tolerance:
         if self.residual_eps <= 0.0:
             raise ValueError(f"residual_eps must be positive, got {self.residual_eps}")
 
+    def residual_bound(self, *vectors) -> float:
+        """Largest accepted residual against the given vectors:
+        residual_eps * (1 + the largest of their norms)."""
+        return self.residual_eps * (1.0 + max(float(np.linalg.norm(v)) for v in vectors))
+
 
 DEFAULT_TOL = Tolerance()
 

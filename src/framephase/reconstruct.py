@@ -50,6 +50,8 @@ STATUS_HEURISTIC_FAIL = "heuristic_fail"
 
 # Block sign patterns solved per matrix product in reconstruct_real.
 _CHUNK = 4096
+# Most sign-tree nodes, and most full sign patterns, reconstruct_real tries.
+_NODE_BUDGET = 1_000_000
 # Error-reduction sweeps without meaningful improvement before it stops.
 _STALL_WINDOW = 30
 
@@ -85,40 +87,44 @@ class SearchBudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-def _finalize_real(
+def _finalize(
     frame: Frame,
     a: np.ndarray,
-    solutions: list[np.ndarray],
-    nodes: int,
+    candidates: list[np.ndarray],
     tol: Tolerance,
+    patterns_explored: int = 0,
+    restarts_used: int = 0,
 ) -> ReconstructionResult:
-    """Canonicalize, verify, deduplicate, and sort the found solutions."""
-    threshold = tol.residual_eps * (1.0 + float(np.linalg.norm(a)))
+    """Canonicalize, verify, deduplicate, and sort candidate preimages.
+
+    A candidate is kept when its canonical ray reproduces ``a`` within
+    Tolerance.residual_bound(a) and is not a ray already kept. No ray is
+    NoSolution, several are Ambiguous, and one is Unique, or
+    HeuristicSuccess when a restart of the complex heuristic found it.
+    """
+    threshold = tol.residual_bound(a)
     rays: list[np.ndarray] = []
     residuals: list[float] = []
-    for x in solutions:
+    for x in candidates:
         r = canonical_ray(x, tol)
         resid = float(np.linalg.norm(magnitude_map(frame, r) - a))
-        if resid > threshold:
-            continue
-        if any(ray_equal(r, kept, tol) for kept in rays):
+        if resid > threshold or any(ray_equal(r, kept, tol) for kept in rays):
             continue
         rays.append(r)
         residuals.append(resid)
     order = sorted(range(len(rays)), key=lambda i: tuple(rays[i]))
-    rays = [rays[i] for i in order]
-    residuals = [residuals[i] for i in order]
     if not rays:
         status = STATUS_NO_SOLUTION
-    elif len(rays) == 1:
-        status = STATUS_UNIQUE
-    else:
+    elif len(rays) > 1:
         status = STATUS_AMBIGUOUS
+    else:
+        status = STATUS_HEURISTIC_SUCCESS if restarts_used else STATUS_UNIQUE
     return ReconstructionResult(
         status=status,
-        rays=rays,
-        residuals=residuals,
-        patterns_explored=nodes,
+        rays=[rays[i] for i in order],
+        residuals=[residuals[i] for i in order],
+        patterns_explored=patterns_explored,
+        restarts_used=restarts_used,
         best_residual=min(residuals) if residuals else None,
     )
 
@@ -166,7 +172,6 @@ def reconstruct_real(
     frame: Frame,
     magnitudes,
     tol: Tolerance = DEFAULT_TOL,
-    node_budget: int = 1_000_000,
 ) -> ReconstructionResult:
     """Enumerate every ray consistent with real magnitude measurements.
 
@@ -188,17 +193,16 @@ def reconstruct_real(
     (measurements inconsistent with the frame). Raises SearchBudgetExceeded
     (with partial findings) if the block's sign tree, 2^(k+1) - 1 nodes,
     or the number of full patterns left for the leaf test exceeds
-    node_budget.
+    _NODE_BUDGET.
     """
     if frame.field != REAL:
         raise ValueError("reconstruct_real requires a real frame")
     a = as_magnitudes(magnitudes, frame.m)
-    t = analysis_matrix(frame)
     norm_a = float(np.linalg.norm(a))
-    threshold = tol.residual_eps * (1.0 + norm_a)
+    threshold = tol.residual_bound(a)
 
     order = np.argsort(-a, kind="stable")
-    t_ord = t[order]
+    t_ord = analysis_matrix(frame)[order]
     a_ord = a[order]
     significant = a_ord > tol.residual_eps * norm_a
 
@@ -210,10 +214,10 @@ def reconstruct_real(
     nodes = 2 ** (k + 1) - 1
 
     def over_budget(what: str) -> SearchBudgetExceeded:
-        partial = _finalize_real(frame, a, [], nodes, tol)
-        return SearchBudgetExceeded(f"{what} exceeds the budget of {node_budget}", partial)
+        partial = ReconstructionResult(STATUS_NO_SOLUTION, patterns_explored=nodes)
+        return SearchBudgetExceeded(f"{what} exceeds the budget of {_NODE_BUDGET}", partial)
 
-    if nodes > node_budget:
+    if nodes > _NODE_BUDGET:
         raise over_budget(f"block sign tree of {nodes} nodes")
 
     u, sv, vt = np.linalg.svd(t_ord[block])
@@ -236,24 +240,22 @@ def reconstruct_real(
         for row in pred[keep]:
             for pattern in _full_patterns(row, bound, significant):
                 patterns.add(pattern)
-                if len(patterns) > node_budget:
+                if len(patterns) > _NODE_BUDGET:
                     raise over_budget("the number of full sign patterns")
 
     # The exhaustive search's visit order (+ before -, largest magnitude
-    # first) fixes which of two equal rays _finalize_real keeps.
+    # first) fixes which of two equal rays _finalize keeps.
     solutions: list[np.ndarray] = []
     for pattern in sorted(patterns, reverse=True):
         sol = least_squares(t_ord, np.array(pattern) * a_ord, tol)
         if sol.residual <= threshold:
             solutions.append(sol.x)
-    return _finalize_real(frame, a, solutions, nodes, tol)
+    return _finalize(frame, a, solutions, tol, patterns_explored=nodes)
 
 
-def enumerate_ambiguities(
-    frame: Frame, x, tol: Tolerance = DEFAULT_TOL, node_budget: int = 1_000_000
-) -> list[np.ndarray]:
+def enumerate_ambiguities(frame: Frame, x, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """All rays sharing the magnitude measurements of x (x's own included)."""
-    result = reconstruct_real(frame, magnitude_map(frame, x), tol, node_budget)
+    result = reconstruct_real(frame, magnitude_map(frame, x), tol)
     return list(result.rays)
 
 
@@ -276,7 +278,7 @@ def error_reduction(
     no meaningful improvement.
     """
     a = np.asarray(magnitudes, dtype=np.float64)
-    threshold = tol.residual_eps * (1.0 + float(np.linalg.norm(a)))
+    threshold = tol.residual_bound(a)
     stall_eps = 1e-12 * (1.0 + float(np.linalg.norm(a)))
     c = np.asarray(start, dtype=np.complex128)
     best_res = np.inf
@@ -326,18 +328,9 @@ def reconstruct_complex(
             f"restarts and max_iters must be >= 1, got {restarts} and {max_iters}"
         )
     a = as_magnitudes(magnitudes, frame.m)
-    norm_a = float(np.linalg.norm(a))
-    threshold = tol.residual_eps * (1.0 + norm_a)
-    if norm_a <= tol.residual_eps:
-        zero = np.zeros(frame.n, dtype=np.complex128)
-        return ReconstructionResult(
-            status=STATUS_UNIQUE,
-            rays=[zero],
-            residuals=[norm_a],
-            patterns_explored=0,
-            restarts_used=0,
-            best_residual=norm_a,
-        )
+    if float(np.linalg.norm(a)) <= tol.residual_eps:
+        return _finalize(frame, a, [np.zeros(frame.n, dtype=np.complex128)], tol)
+    threshold = tol.residual_bound(a)
     basis = coefficient_range(frame, tol)
     t = analysis_matrix(frame)
     best_overall = np.inf
@@ -346,28 +339,16 @@ def reconstruct_complex(
         phases = rng.uniform(0.0, 2.0 * np.pi, frame.m)
         start = a * np.exp(1j * phases)
         p, history = error_reduction(basis, a, start, max_iters, tol)
-        res = min(history) if history else np.inf
+        res = min(history)  # max_iters >= 1, so history is never empty
         best_overall = min(best_overall, res)
         if res <= threshold:
-            sol = least_squares(t, p, tol)
-            ray = canonical_ray(sol.x, tol)
-            final = float(np.linalg.norm(magnitude_map(frame, ray) - a))
-            if final <= threshold:
-                return ReconstructionResult(
-                    status=STATUS_HEURISTIC_SUCCESS,
-                    rays=[ray],
-                    residuals=[final],
-                    patterns_explored=0,
-                    restarts_used=attempt + 1,
-                    best_residual=final,
-                )
+            found = _finalize(
+                frame, a, [least_squares(t, p, tol).x], tol, restarts_used=attempt + 1
+            )
+            if found.rays:
+                return found
     return ReconstructionResult(
-        status=STATUS_HEURISTIC_FAIL,
-        rays=[],
-        residuals=[],
-        patterns_explored=0,
-        restarts_used=restarts,
-        best_residual=float(best_overall) if np.isfinite(best_overall) else None,
+        STATUS_HEURISTIC_FAIL, restarts_used=restarts, best_residual=best_overall
     )
 
 

@@ -110,9 +110,9 @@ def test_full_spark_detects_dependency():
 
 
 def test_full_spark_budget():
-    f = gen_random(REAL, 12, 24, seed=0)
+    f = gen_random(REAL, 12, 24, seed=0)  # C(24, 12) = 2,704,156 subsets
     with pytest.raises(ValueError):
-        full_spark_test(f, max_subsets=1000)
+        full_spark_test(f)
 
 
 def test_complex_size_check():
@@ -353,7 +353,15 @@ def test_screen_boundary_matches_per_split_rank_test(ratio, rank_eps):
         s = np.linalg.svd(rows, compute_uv=False)
         assert s[-1] / s[0] == pytest.approx(ratio * rank_eps, rel=1e-4)
     tol = Tolerance(rank_eps=rank_eps)
+    ranked = []
+
+    def counting_rank(a, tol):
+        ranked.append(np.array(a))
+        return rank(a, tol)
+
+    with patch.object(injectivity, "rank", counting_rank):
+        _outcome(complement_property, Frame(REAL, v), tol)
     if ratio <= 2.0:
         # Neither side is accepted without the rank test: split 7 is S = {0..3}.
-        assert 7 in injectivity._unscreened_splits(v, tol)
+        assert any(np.array_equal(a, v[:4]) for a in ranked)
     _assert_same_as_per_split_rank_test(Frame(REAL, v), tol)

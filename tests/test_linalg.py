@@ -26,6 +26,14 @@ def test_tolerance_defaults_and_validation():
         Tolerance(rank_eps=2.0)
 
 
+def test_residual_bound_scales_with_the_largest_norm():
+    tol = Tolerance(residual_eps=1e-6)
+    a = np.array([3.0, 4.0])
+    assert tol.residual_bound(a) == 1e-6 * (1.0 + 5.0)
+    assert tol.residual_bound(a, np.zeros(2)) == tol.residual_bound(np.zeros(2), a)
+    assert tol.residual_bound(np.zeros(3)) == 1e-6
+
+
 def test_as_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         as_matrix([1.0, 2.0])

@@ -2,6 +2,8 @@ import importlib
 
 import framephase
 
+import output_digest
+
 MODULES = ("linalg", "frames", "magnitude", "injectivity", "reconstruct", "experiments")
 
 # Public in their modules, but not part of the package's exports.
@@ -45,3 +47,16 @@ def test_unexported_names_stay_importable_from_their_modules():
             assert hasattr(module, public), f"{name}.{public}"
             assert public not in module.__all__
             assert public not in framephase.__all__
+
+
+def test_output_digest_runs_on_a_prefix():
+    # tests/output_digest.py hashes every output family; rerunning it on the
+    # same tree must give the same digests.
+    first = output_digest.digests(frames=20, trials=2)
+    assert {name: count for name, (count, _) in first.items()} == {
+        "certify": 60,
+        "certify-tall": 3,
+        "reconstruct": 20,
+        "presets": 15,
+    }
+    assert output_digest.digests(frames=20, trials=2) == first

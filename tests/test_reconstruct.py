@@ -4,6 +4,7 @@ import pytest
 import scipy.linalg
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from framephase import reconstruct
 from framephase.frames import (
     COMPLEX,
     REAL,
@@ -22,7 +23,7 @@ from framephase.reconstruct import (
     STATUS_NO_SOLUTION,
     STATUS_UNIQUE,
     SearchBudgetExceeded,
-    _finalize_real,
+    _finalize,
     _pivot_block,
     enumerate_ambiguities,
     error_reduction,
@@ -214,7 +215,9 @@ def test_block_search_matches_exhaustive_search(seed, n, extra, case):
     f, a = made
     result = reconstruct_real(f, a)
     # Same solutions as the per-node search, hence the same bytes.
-    reference = _finalize_real(f, a, _pruned_dfs(f, a), result.patterns_explored, DEFAULT_TOL)
+    reference = _finalize(
+        f, a, _pruned_dfs(f, a), DEFAULT_TOL, patterns_explored=result.patterns_explored
+    )
     assert result_to_dict(result, REAL) == result_to_dict(reference, REAL)
     if case == "near-zero":
         # Rays 1e-8 apart: the oracle's coarser ray equality merges them.
@@ -254,13 +257,34 @@ def test_patterns_explored_is_block_sign_tree_size():
     assert reconstruct_real(f, np.zeros(9)).patterns_explored == 1
 
 
-def test_search_budget_carries_partial_result():
+def test_search_budget_carries_partial_result(monkeypatch):
     f = gen_random(REAL, 4, 10, seed=5)
     x = np.random.default_rng(5).standard_normal(4)
     a = magnitude_map(f, x)
+    monkeypatch.setattr(reconstruct, "_NODE_BUDGET", 3)
     with pytest.raises(SearchBudgetExceeded) as info:
-        reconstruct_real(f, a, node_budget=3)
+        reconstruct_real(f, a)
     assert info.value.partial.patterns_explored >= 3
+
+
+def test_search_budget_counts_full_sign_patterns(monkeypatch):
+    # N=2, M=6: two Gaussian rows and four rows nearly orthogonal to x, each
+    # with |<x, f>| = 2e-8 ||a||. Those four magnitudes are significant but
+    # their signs are loose, so the 3-node sign tree fits the budget and the
+    # 2^4 full sign patterns do not.
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(2)
+    g = rng.standard_normal((2, 2))
+    perp = np.array([-x[1], x[0]]) / np.linalg.norm(x)
+    tilt = 2e-8 * np.linalg.norm(g @ x) * x / (x @ x)
+    f = Frame(REAL, np.vstack([g, np.outer(rng.uniform(0.5, 1.0, 4), perp) + tilt]))
+    monkeypatch.setattr(reconstruct, "_NODE_BUDGET", 3)
+    with pytest.raises(SearchBudgetExceeded, match="full sign patterns") as info:
+        reconstruct_real(f, magnitude_map(f, x))
+    partial = info.value.partial
+    assert partial.status == STATUS_NO_SOLUTION
+    assert partial.rays == []
+    assert partial.patterns_explored == 3
 
 
 def test_enumerate_ambiguities_counts():
