@@ -101,7 +101,7 @@ def _add_tol_flags(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=DEFAULT_TOL.residual_eps,
         metavar="EPS",
-        help="residual tolerance (default 1e-8)",
+        help="relative residual tolerance (default 1e-8)",
     )
     parser.add_argument(
         "--rank-eps",

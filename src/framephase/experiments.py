@@ -318,7 +318,7 @@ def run_complex_genericity(cfg: ExperimentConfig) -> ExperimentReport:
 
     Recovery rates are heuristic evidence only; a success counts only if
     the recovered ray matches the planted signal and reproduces the
-    measurements within 1e-6. The 2N <= M < 4N-2 band is not certified
+    measurements within 1e-6 ||a||. The 2N <= M < 4N-2 band is not certified
     injective by this toolkit (verdicts there are NecessaryConditionsPass).
     """
     if cfg.field != COMPLEX:

@@ -123,15 +123,15 @@ def frame_operator(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarr
     """The operator S = T* T together with its optimal frame bounds.
 
     S is Hermitian positive definite for any frame; the bounds are its
-    extreme eigenvalues. Numerically singular S is rejected as a non-frame.
+    extreme eigenvalues. S is rejected as numerically singular when T has
+    rank below N at tol (lambda_N <= rank_eps^2 lambda_1), as in Frame.
     """
     t = analysis_matrix(frame)
+    if rank(t, tol) < frame.n:
+        raise ValueError("frame operator is numerically singular; not a frame")
     s = t.conj().T @ t
     w, _ = sym_eig(s, tol)
-    lo, hi = float(w[-1]), float(w[0])
-    if lo <= tol.rank_eps * max(hi, 1.0):
-        raise ValueError("frame operator is numerically singular; not a frame")
-    return s, FrameBounds(lower=lo, upper=hi)
+    return s, FrameBounds(lower=float(w[-1]), upper=float(w[0]))
 
 
 def canonical_dual(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:

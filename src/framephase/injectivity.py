@@ -83,13 +83,16 @@ class InjectivityCertificate:
 
 
 def verify_witness(frame: Frame, x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Confirm that (x, y) is a genuine ambiguity: equal magnitudes within
-    residual_eps * (1 + ||a||), and distinct rays."""
+    """Confirm that (x, y) is a genuine ambiguity: distinct rays whose
+    magnitudes agree within Tolerance.witness_bound, 2 max(residual_eps,
+    rank_eps) ||T||_2 max(||x||, ||y||), the scale at which a split is
+    decided: witness_pair's unit null vectors at rank_eps leave each side's
+    coefficients below rank_eps ||T||_2."""
     a = magnitude_map(frame, x)
     b = magnitude_map(frame, y)
-    if np.linalg.norm(a - b) > tol.residual_bound(a, b):
+    if np.linalg.norm(a - b) > tol.witness_bound(frame.vectors, x, y):
         return False
-    return not ray_equal(np.asarray(x), np.asarray(y), tol)
+    return not ray_equal(x, y, tol)
 
 
 def witness_pair(
@@ -176,9 +179,9 @@ def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Injectivi
     theta = max(4.0 * tol.rank_eps**2, 1e-12)
     scaled = vectors / np.abs(vectors).max()  # no Gram entry overflows
     outer = (scaled.conj()[:, :, None] * scaled[:, None, :]).reshape(m, n * n)
-    # Complex entries as (re, im) float pairs, so the 0/1 rows multiply them
-    # without a complex copy of the selection matrix.
-    outer_flat = outer.view(np.float64)
+    # Complex entries as (re, im) float pairs, viewed in C order, so the 0/1
+    # rows multiply them without a complex copy of the selection matrix.
+    outer_flat = np.ascontiguousarray(outer).view(np.float64)
     floor = np.finfo(np.float64).tiny
     bits = 1 << np.arange(m)
     start, block = 0, 64

@@ -1,9 +1,11 @@
 """Tolerance-aware dense linear algebra helpers, on numpy alone.
 
 Everything operates on plain numpy arrays (float64 or complex128) at desk
-scale. Rank decisions are relative: a singular value counts only if it
-exceeds ``rank_eps`` times the largest one, so the zero matrix has rank 0
-and scaling a matrix never changes its rank.
+scale. Every numerical decision is relative, and Tolerance holds each rule:
+a singular value counts if it exceeds ``rank_eps`` times the largest one,
+and a residual counts as zero if it is at most ``residual_eps`` times the
+norm of what it is measured against. So scaling never changes a rank or a
+verdict, and exactly-zero input accepts only an exact fit.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ __all__ = ["Tolerance", "DEFAULT_TOL"]
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical thresholds shared across the toolkit.
+    """Numerical thresholds shared across the toolkit, all relative.
 
     rank_eps: relative cutoff for rank decisions (singular values).
-    residual_eps: threshold for residual/membership/equality tests.
+    residual_eps: relative threshold for residual/membership/equality tests.
     """
 
     rank_eps: float = 1e-10
@@ -34,40 +36,42 @@ class Tolerance:
             raise ValueError(f"residual_eps must be positive, got {self.residual_eps}")
 
     def residual_bound(self, *vectors) -> float:
-        """Largest accepted residual against the given vectors:
-        residual_eps * (1 + the largest of their norms)."""
-        return self.residual_eps * (1.0 + max(float(np.linalg.norm(v)) for v in vectors))
+        """Largest accepted residual against the given vectors (or matrices,
+        by Frobenius norm): residual_eps times the largest of their norms.
+        It is 0 when they are all zero, so then only an exact fit passes."""
+        return self.residual_eps * max(float(np.linalg.norm(v)) for v in vectors)
+
+    def witness_bound(self, t, *vectors) -> float:
+        """Largest accepted magnitude mismatch of vectors measured by the
+        matrix t: 2 max(residual_eps, rank_eps) ||t||_2 times the largest
+        of their norms, the most a witness from null vectors at rank_eps
+        can miss by."""
+        sigma_1 = float(np.linalg.svd(t, compute_uv=False)[0])  # norm(t, 2) at half the cost
+        scale = sigma_1 * max(float(np.linalg.norm(v)) for v in vectors)
+        return 2.0 * max(self.residual_eps, self.rank_eps) * scale
 
 
 DEFAULT_TOL = Tolerance()
 
 
+def _as_finite(a, ndim: int, what: str) -> np.ndarray:
+    arr = np.asarray(a)
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
+    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} entries must be finite")
+    return arr
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce input to a 2-d float64 or complex128 array with finite entries."""
-    arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
-    if np.iscomplexobj(arr):
-        arr = arr.astype(np.complex128, copy=False)
-    else:
-        arr = arr.astype(np.float64, copy=False)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
-    return arr
+    return _as_finite(a, 2, "matrix")
 
 
 def as_vector(x) -> np.ndarray:
     """Coerce input to a 1-d float64 or complex128 array with finite entries."""
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d array, got shape {arr.shape}")
-    if np.iscomplexobj(arr):
-        arr = arr.astype(np.complex128, copy=False)
-    else:
-        arr = arr.astype(np.float64, copy=False)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
-    return arr
+    return _as_finite(x, 1, "vector")
 
 
 def _numerical_rank(s: np.ndarray, tol: Tolerance) -> int:
@@ -139,14 +143,13 @@ def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (w, v) with real w sorted descending and v's columns the
     matching orthonormal eigenvectors. Rejects matrices whose deviation
-    from Hermitian symmetry exceeds residual_eps * ||a||.
+    from Hermitian symmetry exceeds Tolerance.residual_bound(a).
     """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"sym_eig needs a square matrix, got shape {arr.shape}")
-    scale = np.linalg.norm(arr)
     dev = np.linalg.norm(arr - arr.conj().T)
-    if dev > tol.residual_eps * max(scale, 1.0):
+    if dev > tol.residual_bound(arr):
         raise ValueError(
             f"matrix is not Hermitian within tolerance (deviation {dev:.3e})"
         )

@@ -39,17 +39,15 @@ def canonical_ray(x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Canonical representative of the ray through x.
 
     The vector is rescaled by a unimodular factor so that its first entry
-    of modulus above residual_eps becomes a positive real. Vectors with no
-    such entry (the zero ray, up to tolerance) are returned unchanged.
+    of modulus above Tolerance.residual_bound(x), residual_eps * ||x||,
+    becomes a positive real. The zero vector has no such entry and is
+    returned unchanged.
     """
     arr = np.asarray(x).copy()
+    cut = tol.residual_bound(arr)
     for v in arr:
-        mag = abs(v)
-        if mag > tol.residual_eps:
-            out = arr * (np.conj(v) / mag)
-            if not np.iscomplexobj(arr):
-                out = out.real
-            return out
+        if abs(v) > cut:
+            return arr * (np.conj(v) / abs(v))
     return arr
 
 
@@ -57,24 +55,21 @@ def ray_equal(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether x and y generate the same ray.
 
     Tests min over unimodular c of ||x - c*y|| against
-    residual_eps * max(||x||, 1). The minimizing c is <x, y>/|<x, y>| (and
-    any c when the inner product vanishes).
+    Tolerance.residual_bound(x, y), residual_eps * max(||x||, ||y||), so
+    the zero ray equals only itself. The minimizing c is <x, y>/|<x, y>|
+    (and any c when the inner product vanishes).
     """
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    scale = max(float(np.linalg.norm(x)), 1.0)
     if np.iscomplexobj(x) or np.iscomplexobj(y):
         ip = np.vdot(y, x)  # = <x, y>
         c = ip / abs(ip) if abs(ip) > 0.0 else 1.0
         dist = float(np.linalg.norm(x - c * y))
     else:
-        dist = min(
-            float(np.linalg.norm(x - y)),
-            float(np.linalg.norm(x + y)),
-        )
-    return dist <= tol.residual_eps * scale
+        dist = min(float(np.linalg.norm(x - y)), float(np.linalg.norm(x + y)))
+    return dist <= tol.residual_bound(x, y)
 
 
 @dataclass(frozen=True)

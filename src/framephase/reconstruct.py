@@ -61,7 +61,7 @@ class ReconstructionResult:
     """Outcome of a reconstruction attempt.
 
     rays holds canonical ray representatives, each verified to reproduce
-    the measurements within residual_eps * (1 + ||a||); residuals holds the
+    the measurements within residual_eps * ||a||; residuals holds the
     corresponding measurement residuals. For the real search,
     patterns_explored counts the nodes of the pivot block's sign tree,
     2^(k+1) - 1 for k free block signs (k = N - 1 when every magnitude is
@@ -155,11 +155,11 @@ def _full_patterns(pred: np.ndarray, bound: np.ndarray, significant: np.ndarray)
 
     A significant row whose prediction clears its bound takes the sign of
     the prediction; one that does not is tried both ways. Insignificant
-    rows keep the + sign the leaf test targets them with, and each pattern
+    rows get sign 0, so the leaf test targets them at 0, and each pattern
     is flipped so that the first row (the largest magnitude) is +.
     """
     loose = np.flatnonzero(significant & (np.abs(pred) <= bound))
-    fixed = np.where(significant, np.sign(pred), 1.0)
+    fixed = np.where(significant, np.sign(pred), 0.0)
     for choice in itertools.product((1.0, -1.0), repeat=loose.size):
         s = fixed.copy()
         s[loose] = choice
@@ -176,11 +176,12 @@ def reconstruct_real(
     """Enumerate every ray consistent with real magnitude measurements.
 
     Indices are processed in descending magnitude order; entries at or
-    below residual_eps * ||a|| are treated as sign-free and targeted at
-    their measured value with a + sign, and the first (largest) entry keeps
-    a + sign, quotienting out the global sign. A preimage is accepted when
-    the least-squares residual of its full signed target is at most
-    residual_eps * (1 + ||a||).
+    below Tolerance.residual_bound(a), residual_eps * ||a||, are treated as
+    sign-free and targeted at 0, and the first (largest) entry keeps a +
+    sign, quotienting out the global sign. A preimage is accepted when the
+    least-squares residual of its full signed target is at most that same
+    residual_eps * ||a||, which a planted signal always meets: its
+    insignificant entries are off by at most their magnitude.
 
     Candidates come from a pivot block of N rows chosen by column-pivoted
     Gram-Schmidt (the frame spans, so the block is invertible): every sign
@@ -198,13 +199,12 @@ def reconstruct_real(
     if frame.field != REAL:
         raise ValueError("reconstruct_real requires a real frame")
     a = as_magnitudes(magnitudes, frame.m)
-    norm_a = float(np.linalg.norm(a))
     threshold = tol.residual_bound(a)
 
     order = np.argsort(-a, kind="stable")
     t_ord = analysis_matrix(frame)[order]
     a_ord = a[order]
-    significant = a_ord > tol.residual_eps * norm_a
+    significant = a_ord > threshold
 
     block = _pivot_block(t_ord, frame.n)
     block_sig = significant[block]
@@ -223,10 +223,9 @@ def reconstruct_real(
     u, sv, vt = np.linalg.svd(t_ord[block])
     # pred = targets @ lift predicts every row from the block's targets.
     lift = (u / sv) @ vt @ t_ord.T
-    # Insignificant block rows are targeted at 0, which is off by at most
-    # their magnitude whichever global sign the block pattern stands for.
-    slack = threshold + float(np.linalg.norm(a_ord[block[~block_sig]]))
-    bound = threshold + np.linalg.norm(t_ord, axis=1) * slack / sv[-1]
+    # The block targets are the leaf targets' block rows, insignificant ones
+    # at 0, so an accepted preimage moves each prediction by at most this.
+    bound = threshold + np.linalg.norm(t_ord, axis=1) * threshold / sv[-1]
     base = np.where(block_sig, a_ord[block], 0.0)
     bits = np.arange(k)
 
@@ -271,15 +270,16 @@ def error_reduction(
 
     Each sweep projects onto the range (orthonormal basis columns) and then
     rescales every entry to the measured magnitude, keeping entries whose
-    modulus is at or below residual_eps unchanged (their phase is not
-    determined). The measurement residual of the projected iterate is
-    non-increasing; returns the best projected iterate and the residual
-    history. Stops early on success or when ``_STALL_WINDOW`` sweeps bring
-    no meaningful improvement.
+    modulus is at or below Tolerance.residual_bound(a), residual_eps *
+    ||a||, unchanged (their phase is not determined). The measurement
+    residual of the projected iterate is non-increasing; returns the best
+    projected iterate and the residual history. Stops early once the
+    residual is at most that same bound, or when ``_STALL_WINDOW`` sweeps
+    improve it by less than 1e-12 * ||a||.
     """
     a = np.asarray(magnitudes, dtype=np.float64)
     threshold = tol.residual_bound(a)
-    stall_eps = 1e-12 * (1.0 + float(np.linalg.norm(a)))
+    stall_eps = 1e-12 * float(np.linalg.norm(a))
     c = np.asarray(start, dtype=np.complex128)
     best_res = np.inf
     best_p = None
@@ -297,7 +297,7 @@ def error_reduction(
             break
         if len(history) > _STALL_WINDOW and history[-_STALL_WINDOW - 1] - res < stall_eps:
             break
-        c = np.divide(a * p, mags, out=p.copy(), where=mags > tol.residual_eps)
+        c = np.divide(a * p, mags, out=p.copy(), where=mags > threshold)
     if best_p is None:
         best_p = np.zeros(basis.shape[0], dtype=np.complex128)
     return best_p, history
@@ -315,7 +315,7 @@ def reconstruct_complex(
 
     Each restart draws uniform random phases (deterministically from
     (seed, restart index)), runs error reduction, and accepts as soon as
-    the measurement residual drops below residual_eps * (1 + ||a||); the
+    the measurement residual is at most residual_eps * ||a||; the
     recovered ray is then re-verified against the measurements. All-zero
     measurements identify the zero ray exactly (Unique). Exhausting every
     restart yields HeuristicFail with the best residual seen; a failure is
@@ -328,7 +328,7 @@ def reconstruct_complex(
             f"restarts and max_iters must be >= 1, got {restarts} and {max_iters}"
         )
     a = as_magnitudes(magnitudes, frame.m)
-    if float(np.linalg.norm(a)) <= tol.residual_eps:
+    if not a.any():
         return _finalize(frame, a, [np.zeros(frame.n, dtype=np.complex128)], tol)
     threshold = tol.residual_bound(a)
     basis = coefficient_range(frame, tol)
@@ -361,7 +361,5 @@ def result_to_dict(result: ReconstructionResult, field: str) -> dict:
         "residuals": [float(r) for r in result.residuals],
         "patterns_explored": result.patterns_explored,
         "restarts_used": result.restarts_used,
-        "best_residual": float(result.best_residual)
-        if result.best_residual is not None
-        else None,
+        "best_residual": None if result.best_residual is None else float(result.best_residual),
     }

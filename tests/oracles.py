@@ -35,20 +35,21 @@ def exhaustive_real_rays(vectors, magnitudes, residual_eps=1e-8):
     """Every ray consistent with the magnitudes, found without pruning.
 
     Enumerates all sign assignments over the significant entries (the first
-    one pinned positive to quotient the global sign), solves each in the
-    least-squares sense, and keeps exact fits. Returns (status, rays).
+    one pinned positive to quotient the global sign; entries at or below
+    residual_eps * ||a|| are targeted at 0), solves each in the
+    least-squares sense, and keeps fits within residual_eps * ||a||.
+    Returns (status, rays).
     """
     t = np.conj(np.asarray(vectors))
     a = np.asarray(magnitudes, dtype=np.float64)
     m = len(a)
-    norm_a = np.linalg.norm(a)
-    threshold = residual_eps * (1.0 + norm_a)
-    significant = a > residual_eps * norm_a
+    threshold = residual_eps * np.linalg.norm(a)
+    significant = a > threshold
     sig_idx = [i for i in range(m) if significant[i]]
     free = sig_idx[1:]
     rays = []
     for bits in itertools.product((1.0, -1.0), repeat=len(free)):
-        signs = np.ones(m)
+        signs = significant.astype(np.float64)
         for idx, s in zip(free, bits):
             signs[idx] = s
         target = signs * a

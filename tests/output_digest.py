@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/output_digest.py [--frames F] [--trials T]
+    PYTHONPATH=src python tests/output_digest.py [--frames F] [--trials T] [--dump FILE]
 
 For each output family it prints how many outputs it hashed and one sha256
 over them. Two source trees that print the same lines give the same bytes
@@ -21,7 +21,11 @@ on these inputs:
   seed 7, at their default trial counts unless --trials is given.
 
 Where a call raises, the exception's type and message stand in for its
-output. The default run takes well under a minute on two cores.
+output. With --dump, every hashed output is also written to FILE as one
+JSON line: its family, its index in the family, its input (frame number,
+field, N, M, case, and the rank_eps or magnitude kind) and the output
+itself, so the dumps of two trees can be diffed line by line. The default
+run takes well under a minute on two cores.
 """
 
 from __future__ import annotations
@@ -50,6 +54,12 @@ MAGNITUDES = ("planted", "random", "zero", "scaled")
 
 def _frame(i: int) -> tuple[Frame, np.ndarray]:
     """Frame number i of the fixed set and a planted signal for it."""
+    field, _, v, x = _draw(i)
+    return Frame(field, v), x
+
+
+def _draw(i: int) -> tuple[str, str, np.ndarray, np.ndarray]:
+    """Field, case, vectors and planted signal of frame number i."""
     rng = np.random.default_rng([2026, i])
     field = (REAL, COMPLEX)[i % 2]
 
@@ -75,7 +85,7 @@ def _frame(i: int) -> tuple[Frame, np.ndarray]:
         v = draw(m, n - 1) @ draw(n - 1, n) + eps * draw(m, n)
     elif case == "zero-row":
         v[k] = 0.0
-    return Frame(field, v), draw(n)
+    return field, case, v, draw(n)
 
 
 def _tall_frame(i: int) -> Frame:
@@ -83,12 +93,12 @@ def _tall_frame(i: int) -> Frame:
     return Frame(REAL, rng.standard_normal((12 + i % 3, 3 + i % 2)))
 
 
-def _certificates(frame: Frame) -> list[str]:
-    """Certificate JSON of ``frame`` at each of RANK_EPS."""
-    return [
-        _outcome(lambda: certificate_to_dict(certify(frame, Tolerance(rank_eps=eps)), frame.field))
-        for eps in RANK_EPS
-    ]
+def _certificates(family: str, frame: Frame, given: dict):
+    """(family, input, certificate JSON) of ``frame`` at each of RANK_EPS."""
+    for eps in RANK_EPS:
+        yield family, {**given, "rank_eps": eps}, _outcome(
+            lambda: certificate_to_dict(certify(frame, Tolerance(rank_eps=eps)), frame.field)
+        )
 
 
 def _outcome(call) -> str:
@@ -113,57 +123,74 @@ def _reconstruction(frame: Frame, x: np.ndarray, kind: str, seed: int) -> dict:
     return result_to_dict(result, COMPLEX)
 
 
-def _preset_reports(trials: int | None) -> list[str]:
-    """Exit code and report bytes of every experiment preset at seed 7."""
-    outputs = []
+def _preset_reports(trials: int | None):
+    """(family, input, output) for the exit code and the report bytes of
+    every experiment preset at seed 7."""
     with tempfile.TemporaryDirectory() as out_dir:
         for preset in cli.PRESETS:
+            given = {"preset": preset, "seed": 7, "trials": trials}
             argv = ["experiment", "--preset", preset, "--seed", "7", "--out-dir", out_dir]
             if trials is not None:
                 argv += ["--trials", str(trials)]
             with contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)
-            outputs.append(f"{preset} exit {code}")
+            yield "presets", {**given, "file": "exit"}, f"{preset} exit {code}"
             for ext in ("json", "csv"):
-                path = os.path.join(out_dir, f"{preset}.{ext}")
-                with open(path, encoding="utf-8") as fh:
-                    outputs.append(fh.read())
-    return outputs
+                with open(os.path.join(out_dir, f"{preset}.{ext}"), encoding="utf-8") as fh:
+                    yield "presets", {**given, "file": ext}, fh.read()
 
 
-def digests(frames: int = 1500, trials: int | None = None) -> dict[str, tuple[int, str]]:
-    """Count and sha256 of each output family over the first ``frames``
-    frames of the fixed set and the presets at ``trials`` trials."""
-    families: dict[str, list[str]] = {"certify": [], "certify-tall": [], "reconstruct": []}
+def _outputs(frames: int, trials: int | None):
+    """(family, input, output) of every hashed output, in hashing order
+    within each family."""
     for i in range(frames):
+        field, case, v, x = _draw(i)
+        kind = MAGNITUDES[(i // 2) % len(MAGNITUDES)]
+        given = {"frame": i, "field": field, "n": v.shape[1], "m": v.shape[0], "case": case}
         try:
-            frame, x = _frame(i)
+            frame = Frame(field, v)
         except ValueError as exc:  # the rows do not span
             rejected = json.dumps([type(exc).__name__, str(exc)])
-            families["certify"] += [rejected] * len(RANK_EPS)
-            families["reconstruct"].append(rejected)
+            for eps in RANK_EPS:
+                yield "certify", {**given, "rank_eps": eps}, rejected
+            yield "reconstruct", {**given, "magnitudes": kind}, rejected
             continue
-        families["certify"] += _certificates(frame)
-        kind = MAGNITUDES[(i // 2) % len(MAGNITUDES)]
-        families["reconstruct"].append(_outcome(lambda: _reconstruction(frame, x, kind, i)))
+        yield from _certificates("certify", frame, given)
+        yield "reconstruct", {**given, "magnitudes": kind}, _outcome(
+            lambda: _reconstruction(frame, x, kind, i)
+        )
     for i in range(-(-frames // 30)):
-        families["certify-tall"] += _certificates(_tall_frame(i))
-    families["presets"] = _preset_reports(trials)
-    result = {}
-    for name, outputs in families.items():
-        h = hashlib.sha256()
-        for out in outputs:
-            h.update(out.encode("utf-8") + b"\0")
-        result[name] = (len(outputs), h.hexdigest())
-    return result
+        frame = _tall_frame(i)
+        given = {"frame": i, "field": REAL, "n": frame.n, "m": frame.m, "case": "tall"}
+        yield from _certificates("certify-tall", frame, given)
+    yield from _preset_reports(trials)
+
+
+def digests(
+    frames: int = 1500, trials: int | None = None, dump: str | None = None
+) -> dict[str, tuple[int, str]]:
+    """Count and sha256 of each output family over the first ``frames``
+    frames of the fixed set and the presets at ``trials`` trials; with
+    ``dump``, every output also goes to that file as a JSON line."""
+    counts = {name: 0 for name in ("certify", "certify-tall", "reconstruct", "presets")}
+    hashes = {name: hashlib.sha256() for name in counts}
+    with open(dump, "w", encoding="utf-8") if dump else contextlib.nullcontext() as sink:
+        for family, given, out in _outputs(frames, trials):
+            if sink is not None:
+                line = {"family": family, "index": counts[family], "input": given, "output": out}
+                sink.write(json.dumps(line) + "\n")
+            hashes[family].update(out.encode("utf-8") + b"\0")
+            counts[family] += 1
+    return {name: (counts[name], hashes[name].hexdigest()) for name in counts}
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--frames", type=int, default=1500, help="frames in the fixed set")
     parser.add_argument("--trials", type=int, default=None, help="trials per preset")
+    parser.add_argument("--dump", metavar="FILE", help="write every output to FILE as JSON lines")
     args = parser.parse_args(argv)
-    for name, (count, digest) in digests(args.frames, args.trials).items():
+    for name, (count, digest) in digests(args.frames, args.trials, args.dump).items():
         print(f"{name:<12}{count:>6}  {digest}")
 
 

@@ -114,6 +114,19 @@ def test_canonical_dual_reconstructs(field):
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_canonical_dual_of_a_small_frame_is_the_scaled_dual(field):
+    # The singularity test is relative, so a frame scaled by 1e-9 is still a
+    # frame: its dual is the dual scaled by 1e9, its Parseval frame the same.
+    f = gen_random(field, 3, 5, seed=11)
+    small = Frame(field, 1e-9 * f.vectors)
+    dual, small_dual = canonical_dual(f), canonical_dual(small)
+    npt.assert_allclose(small_dual.vectors, 1e9 * dual.vectors, rtol=1e-10)
+    npt.assert_allclose(
+        canonical_parseval(small).vectors, canonical_parseval(f).vectors, rtol=1e-10
+    )
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_canonical_parseval_operator_is_identity(field):
     f = gen_random(field, 4, 9, seed=3)
     p = canonical_parseval(f)

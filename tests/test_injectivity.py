@@ -7,7 +7,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from framephase import injectivity
-from framephase.frames import COMPLEX, REAL, Frame, gen_full_spark, gen_random, gen_repeated_tail
+from framephase.frames import (
+    COMPLEX,
+    REAL,
+    Frame,
+    apply_invertible,
+    gen_full_spark,
+    gen_random,
+    gen_repeated_tail,
+)
 from framephase.injectivity import (
     VERDICT_INJECTIVE,
     VERDICT_NECESSARY,
@@ -365,3 +373,41 @@ def test_screen_boundary_matches_per_split_rank_test(ratio, rank_eps):
         # Neither side is accepted without the rank test: split 7 is S = {0..3}.
         assert any(np.array_equal(a, v[:4]) for a in ranked)
     _assert_same_as_per_split_rank_test(Frame(REAL, v), tol)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(
+        [(REAL, 3, 4), (REAL, 3, 5), (COMPLEX, 2, 2), (COMPLEX, 2, 3), (COMPLEX, 3, 5)]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    log_c=st.integers(-12, 12),
+)
+def test_certify_verdict_is_invariant_under_frame_symmetries(shape, seed, log_c):
+    # Scaling or permuting the frame vectors, or applying a transform with
+    # condition number 100, leaves the verdict (and a verified witness).
+    field, n, m = shape
+    f = gen_random(field, n, m, seed=seed)
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    transform = q1 @ np.diag(np.geomspace(1.0, 100.0, n)) @ q2
+    verdict = certify(f).verdict
+    for g in (
+        Frame(field, 10.0**log_c * f.vectors),
+        Frame(field, f.vectors[rng.permutation(m)]),
+        apply_invertible(f, transform),
+    ):
+        assert certify(g).verdict == verdict
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-12.0, 12.0))
+def test_verify_witness_rejects_a_relative_magnitude_mismatch(seed, log_c):
+    # A guard against a loose check: at the default tolerance a pair whose
+    # magnitudes differ by 1e-6 relative is no witness, at any scale.
+    f = gen_random(REAL, 3, 4, seed=seed)
+    x, y = (10.0**log_c * v for v in certify(f).witness)
+    assert verify_witness(f, x, y)
+    a, b = magnitude_map(f, x), magnitude_map(f, (1.0 + 1e-6) * y)
+    assert np.linalg.norm(a - b) == pytest.approx(1e-6 * np.linalg.norm(a), rel=1e-3)
+    assert not verify_witness(f, x, (1.0 + 1e-6) * y)

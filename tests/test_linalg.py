@@ -29,9 +29,11 @@ def test_tolerance_defaults_and_validation():
 def test_residual_bound_scales_with_the_largest_norm():
     tol = Tolerance(residual_eps=1e-6)
     a = np.array([3.0, 4.0])
-    assert tol.residual_bound(a) == 1e-6 * (1.0 + 5.0)
+    assert tol.residual_bound(a) == 1e-6 * 5.0
     assert tol.residual_bound(a, np.zeros(2)) == tol.residual_bound(np.zeros(2), a)
-    assert tol.residual_bound(np.zeros(3)) == 1e-6
+    # Relative: no floor, so exactly-zero input accepts only an exact fit.
+    assert tol.residual_bound(np.zeros(3)) == 0.0
+    assert tol.residual_bound(1e-12 * a) == pytest.approx(1e-18 * 5.0, rel=1e-15)
 
 
 def test_as_matrix_rejects_bad_input():

@@ -159,7 +159,7 @@ def _degenerate_case(seed, n, m, case):
     a = magnitude_map(f, x)
     if case in ("noisy", "near-zero"):
         # Noise of the order of the acceptance threshold.
-        sigma = rng.uniform(0.3, 2.0) * 1e-8 * (1.0 + np.linalg.norm(a)) / np.sqrt(m)
+        sigma = rng.uniform(0.3, 2.0) * 1e-8 * np.linalg.norm(a) / np.sqrt(m)
         a = np.abs(a + sigma * rng.standard_normal(m))
     return f, a
 
@@ -167,14 +167,14 @@ def _degenerate_case(seed, n, m, case):
 def _pruned_dfs(frame, a, tol=DEFAULT_TOL):
     """The reference search: depth first over signs in descending magnitude
     order, + before -, one least-squares solve per node, pruned at the
-    acceptance threshold (prefix residuals only grow with depth). Returns
-    the accepted leaf solutions in visit order."""
-    norm_a = float(np.linalg.norm(a))
-    threshold = tol.residual_eps * (1.0 + norm_a)
+    acceptance threshold residual_eps * ||a|| (prefix residuals only grow
+    with depth). Entries at or below it are targeted at 0. Returns the
+    accepted leaf solutions in visit order."""
+    threshold = tol.residual_eps * float(np.linalg.norm(a))
     order = np.argsort(-a, kind="stable")
     t_ord = analysis_matrix(frame)[order]
     a_ord = a[order]
-    significant = a_ord > tol.residual_eps * norm_a
+    significant = a_ord > threshold
     solutions = []
     stack = [()]
     while stack:
@@ -190,7 +190,7 @@ def _pruned_dfs(frame, a, tol=DEFAULT_TOL):
                 continue
         if significant[depth] and depth > 0:
             stack.append(signs + (-1,))
-        stack.append(signs + (1,))
+        stack.append(signs + (1 if significant[depth] else 0,))
     return solutions
 
 
@@ -219,14 +219,42 @@ def test_block_search_matches_exhaustive_search(seed, n, extra, case):
         f, a, _pruned_dfs(f, a), DEFAULT_TOL, patterns_explored=result.patterns_explored
     )
     assert result_to_dict(result, REAL) == result_to_dict(reference, REAL)
-    if case == "near-zero":
-        # Rays 1e-8 apart: the oracle's coarser ray equality merges them.
-        return
     status, rays = oracles.exhaustive_real_rays(f.vectors, a)
     assert result.status == status
     assert len(result.rays) == len(rays)
     for r in rays:
         assert any(oracles.same_ray(r, s) for s in result.rays)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([5, 7]), log_c=st.floats(-12.0, 12.0))
+def test_reconstruct_real_rays_scale_with_the_magnitudes(seed, m, log_c):
+    # The magnitude map is homogeneous, so scaling the magnitudes by c must
+    # scale every recovered ray by c and keep the status (M=5 is ambiguous).
+    f = gen_random(REAL, 4, m, seed=seed)
+    a = magnitude_map(f, np.random.default_rng(seed).standard_normal(4))
+    c = 10.0**log_c
+    base, scaled = reconstruct_real(f, a), reconstruct_real(f, c * a)
+    assert scaled.status == base.status
+    assert len(scaled.rays) == len(base.rays)
+    for r, s in zip(base.rays, scaled.rays):
+        assert np.linalg.norm(s - c * r) <= 1e-9 * c * np.linalg.norm(r)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-12.0, 12.0))
+def test_reconstruct_complex_rays_scale_with_the_magnitudes(seed, log_c):
+    f = gen_random(COMPLEX, 3, 10, seed=seed)
+    rng = np.random.default_rng(seed)
+    a = magnitude_map(f, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    c = 10.0**log_c
+    base, scaled = (
+        reconstruct_complex(f, b, restarts=5, max_iters=200, seed=seed) for b in (a, c * a)
+    )
+    assert scaled.status == base.status
+    assert len(scaled.rays) == len(base.rays)
+    for r, s in zip(base.rays, scaled.rays):
+        assert np.linalg.norm(s - c * r) <= 1e-6 * c * np.linalg.norm(r)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -269,14 +297,15 @@ def test_search_budget_carries_partial_result(monkeypatch):
 
 def test_search_budget_counts_full_sign_patterns(monkeypatch):
     # N=2, M=6: two Gaussian rows and four rows nearly orthogonal to x, each
-    # with |<x, f>| = 2e-8 ||a||. Those four magnitudes are significant but
-    # their signs are loose, so the 3-node sign tree fits the budget and the
-    # 2^4 full sign patterns do not.
+    # with |<x, f>| = 1.2e-8 ||a||, just above the significance cutoff
+    # 1e-8 ||a||. Those four magnitudes are significant but within their
+    # propagated bound, so their signs are loose: the 3-node sign tree fits
+    # the budget and the 2^4 full sign patterns do not.
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2)
     g = rng.standard_normal((2, 2))
     perp = np.array([-x[1], x[0]]) / np.linalg.norm(x)
-    tilt = 2e-8 * np.linalg.norm(g @ x) * x / (x @ x)
+    tilt = 1.2e-8 * np.linalg.norm(g @ x) * x / (x @ x)
     f = Frame(REAL, np.vstack([g, np.outer(rng.uniform(0.5, 1.0, 4), perp) + tilt]))
     monkeypatch.setattr(reconstruct, "_NODE_BUDGET", 3)
     with pytest.raises(SearchBudgetExceeded, match="full sign patterns") as info:
