@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, column_space, rank, sym_eig
+from .linalg import DEFAULT_TOL, Tolerance, _numerical_rank, column_space, rank
 
 __all__ = [
     "REAL",
@@ -119,38 +119,38 @@ def analysis(frame: Frame, x) -> np.ndarray:
     return analysis_matrix(frame) @ x
 
 
-def frame_operator(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, FrameBounds]:
-    """The operator S = T* T together with its optimal frame bounds.
-
-    S is Hermitian positive definite for any frame; the bounds are its
-    extreme eigenvalues. S is rejected as numerically singular when T has
-    rank below N at tol (lambda_N <= rank_eps^2 lambda_1), as in Frame.
-    """
-    t = analysis_matrix(frame)
-    if rank(t, tol) < frame.n:
+def _analysis_svd(frame: Frame, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (U, sigma, V*) of T, rejecting rank below N at tol as Frame does."""
+    u, sv, vh = np.linalg.svd(analysis_matrix(frame), full_matrices=False)
+    if _numerical_rank(sv, tol) < frame.n:
         raise ValueError("frame operator is numerically singular; not a frame")
-    s = t.conj().T @ t
-    w, _ = sym_eig(s, tol)
-    return s, FrameBounds(lower=float(w[-1]), upper=float(w[0]))
+    return u, sv, vh
+
+
+def frame_operator(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, FrameBounds]:
+    """The operator S = T* T together with its optimal frame bounds, the
+    extreme eigenvalues of S, taken as the squared singular values of T."""
+    _, sv, _ = _analysis_svd(frame, tol)
+    t = analysis_matrix(frame)
+    return t.conj().T @ t, FrameBounds(lower=float(sv[-1] ** 2), upper=float(sv[0] ** 2))
 
 
 def canonical_dual(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
     """The canonical dual frame {S^-1 f_i}.
 
     Analysis against the dual followed by synthesis against the original
-    frame (and vice versa) reconstructs every x exactly.
+    frame (and vice versa) reconstructs every x exactly. With T = U sigma V*,
+    S^-1 f_i is row i of conj(U sigma^-1 V*), as well conditioned as T.
     """
-    s, _ = frame_operator(frame, tol)
-    dual_vectors = np.linalg.solve(s, frame.vectors.T).T
-    return Frame(frame.field, dual_vectors)
+    u, sv, vh = _analysis_svd(frame, tol)
+    return Frame(frame.field, np.conj((u / sv) @ vh))
 
 
 def canonical_parseval(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
-    """The canonical Parseval frame {S^-1/2 f_i}; its frame operator is I."""
-    s, _ = frame_operator(frame, tol)
-    w, v = sym_eig(s, tol)
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return Frame(frame.field, (inv_sqrt @ frame.vectors.T).T)
+    """The canonical Parseval frame {S^-1/2 f_i}, the rows of conj(U V*);
+    its frame operator is I."""
+    u, _, vh = _analysis_svd(frame, tol)
+    return Frame(frame.field, np.conj(u @ vh))
 
 
 def coefficient_range(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -84,13 +84,11 @@ class InjectivityCertificate:
 
 def verify_witness(frame: Frame, x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Confirm that (x, y) is a genuine ambiguity: distinct rays whose
-    magnitudes agree within Tolerance.witness_bound, 2 max(residual_eps,
-    rank_eps) ||T||_2 max(||x||, ||y||), the scale at which a split is
-    decided: witness_pair's unit null vectors at rank_eps leave each side's
-    coefficients below rank_eps ||T||_2."""
+    magnitudes a, b agree within Tolerance.residual_bound(a, b) plus the
+    Tolerance.null_leak of witness_pair's null vectors at rank_eps."""
     a = magnitude_map(frame, x)
     b = magnitude_map(frame, y)
-    if np.linalg.norm(a - b) > tol.witness_bound(frame.vectors, x, y):
+    if np.linalg.norm(a - b) > tol.residual_bound(a, b) + tol.null_leak(frame.vectors, x, y):
         return False
     return not ray_equal(x, y, tol)
 

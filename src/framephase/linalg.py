@@ -41,14 +41,12 @@ class Tolerance:
         It is 0 when they are all zero, so then only an exact fit passes."""
         return self.residual_eps * max(float(np.linalg.norm(v)) for v in vectors)
 
-    def witness_bound(self, t, *vectors) -> float:
-        """Largest accepted magnitude mismatch of vectors measured by the
-        matrix t: 2 max(residual_eps, rank_eps) ||t||_2 times the largest
-        of their norms, the most a witness from null vectors at rank_eps
-        can miss by."""
+    def null_leak(self, t, *vectors) -> float:
+        """Most by which the magnitudes under the matrix t of a witness
+        built from null vectors decided at rank_eps can disagree: 2
+        rank_eps ||t||_2 times the largest of the vectors' norms."""
         sigma_1 = float(np.linalg.svd(t, compute_uv=False)[0])  # norm(t, 2) at half the cost
-        scale = sigma_1 * max(float(np.linalg.norm(v)) for v in vectors)
-        return 2.0 * max(self.residual_eps, self.rank_eps) * scale
+        return 2.0 * self.rank_eps * sigma_1 * max(float(np.linalg.norm(v)) for v in vectors)
 
 
 DEFAULT_TOL = Tolerance()

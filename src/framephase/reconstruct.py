@@ -175,13 +175,12 @@ def reconstruct_real(
 ) -> ReconstructionResult:
     """Enumerate every ray consistent with real magnitude measurements.
 
-    Indices are processed in descending magnitude order; entries at or
-    below Tolerance.residual_bound(a), residual_eps * ||a||, are treated as
-    sign-free and targeted at 0, and the first (largest) entry keeps a +
-    sign, quotienting out the global sign. A preimage is accepted when the
-    least-squares residual of its full signed target is at most that same
-    residual_eps * ||a||, which a planted signal always meets: its
-    insignificant entries are off by at most their magnitude.
+    Indices are processed in descending magnitude order; the smallest
+    entries, of total norm at most residual_eps * ||a|| / 2, are sign-free
+    and targeted at 0, and the first (largest) entry keeps a + sign,
+    quotienting out the global sign. A preimage is accepted when the
+    least-squares residual of its full signed target, and then that of its
+    magnitudes against a, is at most Tolerance.residual_bound(a).
 
     Candidates come from a pivot block of N rows chosen by column-pivoted
     Gram-Schmidt (the frame spans, so the block is invertible): every sign
@@ -204,7 +203,10 @@ def reconstruct_real(
     order = np.argsort(-a, kind="stable")
     t_ord = analysis_matrix(frame)[order]
     a_ord = a[order]
-    significant = a_ord > threshold
+    # Sign-free: the smallest entries (ties together) of norm <= threshold / 2,
+    # so a planted signal misses its leaf target and a by at most threshold.
+    tails = np.cumsum(a_ord[::-1] ** 2)[np.searchsorted(a_ord[::-1], a_ord, "right") - 1]
+    significant = tails > (threshold / 2.0) ** 2
 
     block = _pivot_block(t_ord, frame.n)
     block_sig = significant[block]

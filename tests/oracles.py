@@ -35,16 +35,16 @@ def exhaustive_real_rays(vectors, magnitudes, residual_eps=1e-8):
     """Every ray consistent with the magnitudes, found without pruning.
 
     Enumerates all sign assignments over the significant entries (the first
-    one pinned positive to quotient the global sign; entries at or below
-    residual_eps * ||a|| are targeted at 0), solves each in the
-    least-squares sense, and keeps fits within residual_eps * ||a||.
-    Returns (status, rays).
+    one pinned positive to quotient the global sign; the smallest entries,
+    of total norm at most residual_eps * ||a|| / 2, are targeted at 0),
+    solves each in the least-squares sense, and keeps fits within
+    residual_eps * ||a||. Returns (status, rays).
     """
     t = np.conj(np.asarray(vectors))
     a = np.asarray(magnitudes, dtype=np.float64)
     m = len(a)
     threshold = residual_eps * np.linalg.norm(a)
-    significant = a > threshold
+    significant = np.array([np.linalg.norm(a[a <= v]) > threshold / 2 for v in a])
     sig_idx = [i for i in range(m) if significant[i]]
     free = sig_idx[1:]
     rays = []

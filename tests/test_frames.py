@@ -127,6 +127,21 @@ def test_canonical_dual_of_a_small_frame_is_the_scaled_dual(field):
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_ill_conditioned_frame_keeps_accurate_bounds_dual_and_parseval_frame(field):
+    # T has condition number 1e7, so S = T* T has 1e14: its eigenvalues and
+    # inverse lose about 14 digits, and T's singular values lose none.
+    u, _, vh = np.linalg.svd(gen_random(field, 3, 5, seed=4).vectors, full_matrices=False)
+    f = Frame(field, (u * np.array([1.0, 10**-3.5, 1e-7])) @ vh)
+    _, bounds = frame_operator(f)
+    assert bounds.lower == pytest.approx(1e-14, rel=1e-6)
+    assert bounds.upper == pytest.approx(1.0, rel=1e-12)
+    x = np.random.default_rng(4).standard_normal(3)
+    npt.assert_allclose(canonical_dual(f).vectors.T @ analysis(f, x), x, atol=1e-7)
+    s, _ = frame_operator(canonical_parseval(f))
+    npt.assert_allclose(s, np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_canonical_parseval_operator_is_identity(field):
     f = gen_random(field, 4, 9, seed=3)
     p = canonical_parseval(f)

@@ -401,11 +401,16 @@ def test_certify_verdict_is_invariant_under_frame_symmetries(shape, seed, log_c)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-12.0, 12.0))
-def test_verify_witness_rejects_a_relative_magnitude_mismatch(seed, log_c):
+@given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-12.0, 12.0), ill=st.booleans())
+def test_verify_witness_rejects_a_relative_magnitude_mismatch(seed, log_c, ill):
     # A guard against a loose check: at the default tolerance a pair whose
-    # magnitudes differ by 1e-6 relative is no witness, at any scale.
+    # magnitudes differ by 1e-6 relative is no witness, at any scale. With
+    # ill, T has condition number 1e3 and the witness lies mostly in its weak
+    # direction, so ||T||_2 max(||x||, ||y||) is up to 1e3 ||a||.
     f = gen_random(REAL, 3, 4, seed=seed)
+    if ill:
+        u, _, vh = np.linalg.svd(f.vectors, full_matrices=False)
+        f = Frame(REAL, (u * np.geomspace(1.0, 1e-3, 3)) @ vh)
     x, y = (10.0**log_c * v for v in certify(f).witness)
     assert verify_witness(f, x, y)
     a, b = magnitude_map(f, x), magnitude_map(f, (1.0 + 1e-6) * y)

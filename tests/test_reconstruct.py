@@ -80,6 +80,24 @@ def test_reconstruct_real_zero_entry_is_sign_free():
     assert ray_equal(result.rays[0], np.array([0.0, 2.0]))
 
 
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("c", [1e-9, 1.0, 1e9])
+def test_reconstruct_real_keeps_a_planted_signal_with_several_small_entries(m, c):
+    # M - 1 copies of e2 measure x2 alone. At x2 = 2e-9 they total at most
+    # 4e-9 ||a||, below half the bound, so their signs are free and the ray
+    # is (1, 0) within tolerance. At x2 = 8e-9 they total 1.1e-8 ||a|| or
+    # more, so their signs are solved for: (1, 8e-9) and (1, -8e-9) both fit
+    # exactly and lie 1.6e-8 ||a|| apart, a genuine ambiguity.
+    f = Frame(REAL, np.array([[1.0, 0.0]] + [[0.0, 1.0]] * (m - 1)))
+    for x2, status in ((2e-9, STATUS_UNIQUE), (8e-9, STATUS_AMBIGUOUS)):
+        x = c * np.array([1.0, x2])
+        a = magnitude_map(f, x)
+        result = reconstruct_real(f, a)
+        assert result.status == status
+        assert any(ray_equal(r, x) for r in result.rays)
+        assert max(result.residuals) <= 1e-8 * np.linalg.norm(a)
+
+
 def test_reconstruct_real_validation():
     with pytest.raises(ValueError):
         reconstruct_real(hand_frame(), np.array([1.0, 2.0]))
@@ -168,13 +186,13 @@ def _pruned_dfs(frame, a, tol=DEFAULT_TOL):
     """The reference search: depth first over signs in descending magnitude
     order, + before -, one least-squares solve per node, pruned at the
     acceptance threshold residual_eps * ||a|| (prefix residuals only grow
-    with depth). Entries at or below it are targeted at 0. Returns the
-    accepted leaf solutions in visit order."""
+    with depth). The smallest entries, of total norm at most half of it,
+    are targeted at 0. Returns the accepted leaf solutions in visit order."""
     threshold = tol.residual_eps * float(np.linalg.norm(a))
     order = np.argsort(-a, kind="stable")
     t_ord = analysis_matrix(frame)[order]
     a_ord = a[order]
-    significant = a_ord > threshold
+    significant = np.array([np.linalg.norm(a[a <= v]) > threshold / 2 for v in a_ord])
     solutions = []
     stack = [()]
     while stack:
@@ -297,8 +315,8 @@ def test_search_budget_carries_partial_result(monkeypatch):
 
 def test_search_budget_counts_full_sign_patterns(monkeypatch):
     # N=2, M=6: two Gaussian rows and four rows nearly orthogonal to x, each
-    # with |<x, f>| = 1.2e-8 ||a||, just above the significance cutoff
-    # 1e-8 ||a||. Those four magnitudes are significant but within their
+    # with |<x, f>| = 1.2e-8 ||a||, more than the sign-free total of
+    # 0.5e-8 ||a||. Those four magnitudes are significant but within their
     # propagated bound, so their signs are loose: the 3-node sign tree fits
     # the budget and the 2^4 full sign patterns do not.
     rng = np.random.default_rng(1)
