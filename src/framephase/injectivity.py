@@ -9,9 +9,12 @@ magnitude measurements but generate different rays.
 
 For a complex frame the same subset condition is only necessary, and there
 is an unconditional size obstruction: fewer than 2N measurements can never
-be injective (for N >= 2). Verdicts therefore come in three kinds:
-Injective (real, subset condition holds), NotInjective (with a verified
-witness), and NecessaryConditionsPass (complex, no obstruction found).
+be injective (for N >= 2). Its witness is built the same way: at M = 2N-1
+a pivot index p is left out, u and v are orthogonal to N-1 of the other
+vectors each, and v is turned by the unit phase that also equalizes the
+magnitudes on f_p. Verdicts therefore come in three kinds: Injective
+(real, subset condition holds), NotInjective (with a verified witness),
+and NecessaryConditionsPass (complex, no obstruction found).
 """
 
 from __future__ import annotations
@@ -23,15 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frames import (
-    COMPLEX,
-    REAL,
-    Frame,
-    analysis_matrix,
-    coefficient_range,
-    encode_vector,
-)
-from .linalg import DEFAULT_TOL, Tolerance, least_squares, null_space, rank
+from .frames import COMPLEX, REAL, Frame, analysis_matrix, encode_vector
+from .linalg import DEFAULT_TOL, Tolerance, null_space, rank
 from .magnitude import SignPattern, canonical_ray, magnitude_map, ray_equal
 
 __all__ = [
@@ -73,7 +69,8 @@ class InjectivityCertificate:
     NotInjective verdicts always carry a failing subset (when one was
     found by subset enumeration) and a verified witness pair (x, y) with
     equal magnitude measurements and distinct rays. checked_subsets counts
-    the {S, complement} pairs examined.
+    the {S, complement} pairs examined; for a complex frame with M = 2N-1,
+    which has no failing subset, it counts the pivots tried.
     """
 
     verdict: str
@@ -85,7 +82,7 @@ class InjectivityCertificate:
 def verify_witness(frame: Frame, x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Confirm that (x, y) is a genuine ambiguity: distinct rays whose
     magnitudes a, b agree within Tolerance.residual_bound(a, b) plus the
-    Tolerance.null_leak of witness_pair's null vectors at rank_eps."""
+    Tolerance.null_leak of _null_pair's null vectors at rank_eps."""
     a = magnitude_map(frame, x)
     b = magnitude_map(frame, y)
     if np.linalg.norm(a - b) > tol.residual_bound(a, b) + tol.null_leak(frame.vectors, x, y):
@@ -106,17 +103,35 @@ def witness_pair(
     """
     if pattern.size != frame.m:
         raise ValueError(f"pattern size {pattern.size} does not match M={frame.m}")
+    return _null_pair(frame, pattern.indices(), pattern.complement().indices(), tol)
+
+
+def _null_pair(
+    frame: Frame, side_u, side_v, tol: Tolerance, pivot: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u+v, u-v) for unit null vectors u of the frame vectors side_u and
+    v of side_v: the one construction behind every witness.
+
+    With a pivot p on neither side, v is first multiplied by the unit phase
+    c = i alpha conj(beta) / |alpha beta|, alpha = <u, f_p>, beta = <v, f_p>
+    (unless either is 0), so that |alpha + c beta| = |alpha - c beta|.
+    verify_witness's null_leak bound holds: every row of a side moves by
+    at most 2|t_i u| or 2|t_i v|, at most 2 rank_eps ||T||_2 over the side,
+    the pivot row not at all, and ||x||^2 + ||y||^2 = 4.
+    """
     t = analysis_matrix(frame)
-    idx_s = list(pattern.indices())
-    idx_c = list(pattern.complement().indices())
-    basis_u = null_space(t[idx_s], tol) if idx_s else np.eye(frame.n, dtype=t.dtype)
-    basis_v = null_space(t[idx_c], tol) if idx_c else np.eye(frame.n, dtype=t.dtype)
+    basis_u = null_space(t[list(side_u)], tol)
+    basis_v = null_space(t[list(side_v)], tol)
     if basis_u.shape[1] == 0:
         raise ValueError("subset spans the space; no witness from this side")
     if basis_v.shape[1] == 0:
         raise ValueError("complement spans the space; no witness from this side")
     u = basis_u[:, 0]
     v = basis_v[:, 0]
+    if pivot is not None:
+        alpha, beta = t[pivot] @ u, t[pivot] @ v
+        if alpha != 0 and beta != 0:
+            v = v * (1j * alpha * np.conj(beta) / abs(alpha * beta))
     return u + v, u - v
 
 
@@ -125,7 +140,7 @@ def _not_injective(
     witness: tuple[np.ndarray, np.ndarray],
     tol: Tolerance,
     what: str,
-    failing_subset: SignPattern | None,
+    failing_subset: SignPattern,
     checked_subsets: int,
 ) -> InjectivityCertificate:
     """NotInjective certificate carrying ``witness``, which must verify;
@@ -294,58 +309,19 @@ def necessary_condition_for_M_2N_minus_1(
     )
 
 
-def _pullback(frame: Frame, coeff: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Recover x with T x = coeff for a coefficient vector known to lie in W."""
-    sol = least_squares(analysis_matrix(frame), coeff, tol)
-    if sol.residual > tol.residual_bound(coeff):
-        raise RuntimeError(
-            f"coefficient vector is not in the range (residual {sol.residual:.3e})"
-        )
-    return sol.x
-
-
-def _complex_minimal_count_witness(
-    frame: Frame, tol: Tolerance
-) -> tuple[np.ndarray, np.ndarray]:
-    """Witness for a complex frame with M = 2N-1 whose subset check passes.
-
-    The coefficient range W is N-dimensional inside C^(2N-1), so it meets
-    both the span of the first N coordinates and the span of the last N in
-    nonzero vectors u and w; the two overlap only at the pivot coordinate
-    N-1. Because the subset condition holds, both have a nonzero pivot
-    entry. Rescaling so the pivot entries become 1 and i makes |z + w'| and
-    |z - w'| agree coordinate by coordinate (|1+i| = |1-i| at the pivot,
-    disjoint supports elsewhere), while the rays differ.
-    """
-    n, m = frame.n, frame.m
-    basis = coefficient_range(frame, tol)
-    xi = null_space(basis[n:, :], tol)
-    eta = null_space(basis[: n - 1, :], tol)
-    if xi.shape[1] == 0 or eta.shape[1] == 0:
-        raise RuntimeError("range basis lost rank; cannot build size witness")
-    u = basis @ xi[:, 0]  # supported on coordinates 0..n-1
-    w = basis @ eta[:, 0]  # supported on coordinates n-1..m-1
-    pivot = n - 1
-    gate = 0.25 * tol.residual_eps
-    if abs(u[pivot]) <= gate or abs(w[pivot]) <= gate:
-        # Supports are already (essentially) disjoint; the pair u+w, u-w
-        # mismatches only through the sub-gate pivot entry.
-        plus, minus = u + w, u - w
-    else:
-        z = u / u[pivot]
-        w_rot = 1j * w / w[pivot]
-        plus, minus = z + w_rot, z - w_rot
-    return _pullback(frame, plus, tol), _pullback(frame, minus, tol)
-
-
 def certify(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> InjectivityCertificate:
     """Full decision procedure combining subset and size obstructions.
 
     Real frames: the subset condition decides injectivity outright.
-    Complex frames with N >= 2 and M <= 2N-1: never injective; the
-    certificate carries an explicit verified witness (a balanced-split
-    pair when M <= 2N-2, the pivot construction at M = 2N-1). Otherwise
-    the subset check runs and a pass means NecessaryConditionsPass only.
+    Complex frames with N >= 2 and M <= 2N-1 are never injective; the
+    certificate's verified witness comes from _null_pair, with no split
+    walk. Below 2N-1 the sides are the first M // 2 indices and the rest.
+    At M = 2N-1 a pivot p is left out, and the sides are the first and the
+    last N-1 of the other indices. The rays differ unless the two null
+    vectors are parallel, as on nearly parallel frame vectors, so the
+    pivots N-1, N, ..., M-1, 0, ..., N-2 are tried in turn; the first pair
+    that verifies is the witness. Otherwise the subset check runs and a
+    pass means NecessaryConditionsPass only.
     """
     if frame.field == REAL:
         return complement_property(frame, tol)
@@ -354,13 +330,15 @@ def certify(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> InjectivityCertificat
         pattern = SignPattern.from_indices(range(m // 2), m)
         witness = witness_pair(frame, pattern, tol)
         return _not_injective(frame, witness, tol, "balanced-split witness", pattern, 1)
-    cert = complement_property(frame, tol)
-    if n >= 2 and m == 2 * n - 1 and cert.verdict != VERDICT_NOT_INJECTIVE:
-        witness = _complex_minimal_count_witness(frame, tol)
-        return _not_injective(
-            frame, witness, tol, "complex size witness", None, cert.checked_subsets
-        )
-    return cert
+    if n < 2 or m > 2 * n - 1:
+        return complement_property(frame, tol)
+    for tried in range(1, m + 1):
+        pivot = (n - 2 + tried) % m
+        rest = [i for i in range(m) if i != pivot]
+        witness = _null_pair(frame, rest[: n - 1], rest[n - 1 :], tol, pivot)
+        if verify_witness(frame, *witness, tol):
+            return InjectivityCertificate(VERDICT_NOT_INJECTIVE, None, witness, tried)
+    raise RuntimeError("complex size witness did not verify")
 
 
 def certificate_to_dict(cert: InjectivityCertificate, field: str) -> dict:

@@ -134,22 +134,3 @@ def least_squares(a, b, tol: Tolerance = DEFAULT_TOL) -> LeastSquares:
     x = np.linalg.lstsq(arr, rhs, rcond=tol.rank_eps)[0]
     residual = float(np.linalg.norm(arr @ x - rhs))
     return LeastSquares(x, residual)
-
-
-def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns (w, v) with real w sorted descending and v's columns the
-    matching orthonormal eigenvectors. Rejects matrices whose deviation
-    from Hermitian symmetry exceeds Tolerance.residual_bound(a).
-    """
-    arr = as_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"sym_eig needs a square matrix, got shape {arr.shape}")
-    dev = np.linalg.norm(arr - arr.conj().T)
-    if dev > tol.residual_bound(arr):
-        raise ValueError(
-            f"matrix is not Hermitian within tolerance (deviation {dev:.3e})"
-        )
-    w, v = np.linalg.eigh(arr)
-    return w[::-1], v[:, ::-1]

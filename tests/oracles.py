@@ -13,14 +13,15 @@ import scipy.linalg
 
 
 def same_ray(x, y, eps=1e-7):
-    """Equality of the rays generated by x and y, up to a unimodular factor."""
+    """Equality of the rays generated by x and y, up to a unimodular factor,
+    within eps times the larger of their norms."""
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape:
         return False
     nx = np.linalg.norm(x)
     ny = np.linalg.norm(y)
-    scale = max(nx, ny, 1.0)
+    scale = max(nx, ny)
     if nx <= eps * scale or ny <= eps * scale:
         return abs(nx - ny) <= eps * scale
     ip = np.vdot(y, x)
@@ -56,7 +57,7 @@ def exhaustive_real_rays(vectors, magnitudes, residual_eps=1e-8):
         x, *_ = np.linalg.lstsq(t, target, rcond=None)
         if np.linalg.norm(t @ x - target) > threshold:
             continue
-        if not any(same_ray(x, r, residual_eps * 10) for r in rays):
+        if not any(same_ray(x, r, residual_eps) for r in rays):
             rays.append(x)
     if not rays:
         return "no_solution", []
@@ -123,7 +124,7 @@ def random_signal_probe(vectors, trials, rng, residual_eps=1e-8):
         targets = signs * a
         recon = (targets @ b.conj()) @ b.T
         resid = np.linalg.norm(targets - recon, axis=1)
-        member = resid <= residual_eps * np.maximum(np.linalg.norm(targets, axis=1), 1.0)
+        member = resid <= residual_eps * np.linalg.norm(targets, axis=1)
         for j in np.flatnonzero(member):
             y, *_ = np.linalg.lstsq(t, targets[j], rcond=None)
             if not same_ray(x, y, 1e-6):

@@ -197,11 +197,77 @@ def test_certify_complex_minimal_count_witness(n, seed):
     f = gen_random(COMPLEX, n, 2 * n - 1, seed=seed)
     cert = certify(f)
     assert cert.verdict == VERDICT_NOT_INJECTIVE
+    # The first pivot, N-1, gives the witness; no split is walked.
+    assert cert.failing_subset is None
+    assert cert.checked_subsets == 1
     x, y = cert.witness
     a_x = magnitude_map(f, x)
     a_y = magnitude_map(f, y)
-    assert float(np.linalg.norm(a_x - a_y)) <= 1e-8 * (1.0 + float(np.linalg.norm(a_x)))
+    assert float(np.linalg.norm(a_x - a_y)) <= 1e-12 * float(np.linalg.norm(a_x))
     assert not ray_equal(x, y)
+
+
+def test_certify_complex_minimal_count_near_parallel_pair():
+    # f_2 is within 1e-9 of a multiple of f_0, so at pivot 1 the null
+    # vectors of {f_0} and {f_2} are nearly parallel and their pair gives
+    # one ray twice; the next pivot, 2, gives a witness.
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    v[2] = (0.3 + 1j) * v[0] + 1e-9 * np.array([1, 1j])
+    f = Frame(COMPLEX, v)
+    cert = certify(f)
+    assert cert.verdict == VERDICT_NOT_INJECTIVE
+    assert cert.failing_subset is None
+    assert cert.checked_subsets == 2
+    assert verify_witness(f, *cert.witness)
+
+
+def _minimal_count_frames():
+    """Seeded complex M = 2N-1 frames, N 2-5: 2,000 Gaussian ones, 200 with
+    one vector within 1e-10 to 1e-8 of a multiple of another, and the
+    nearly low-dimensional ones of _frame_case."""
+    for n in range(2, 6):
+        for seed in range(500):
+            yield gen_random(COMPLEX, n, 2 * n - 1, seed=seed)
+    for seed in range(200):
+        rng = np.random.default_rng([7, seed])
+        n = 2 + seed % 4
+        m = 2 * n - 1
+        v = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        i, j = rng.choice(m, 2, replace=False)
+        offset = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v[j] = complex(*rng.standard_normal(2)) * v[i] + 10.0 ** rng.uniform(-10, -8) * offset
+        yield Frame(COMPLEX, v)
+    for n in range(2, 6):
+        for seed in range(100):
+            f = _frame_case(seed, COMPLEX, n, 2 * n - 1, "near-low-dim")
+            if f is not None:
+                yield f
+
+
+def test_pivot_witness_verifies_on_every_seeded_minimal_count_frame():
+    # The no-miss run that lets the pivot witness stand alone at M = 2N-1.
+    tol = Tolerance(rank_eps=1e-10)
+    frames = 0
+    for f in _minimal_count_frames():
+        cert = certify(f, tol)
+        assert cert.verdict == VERDICT_NOT_INJECTIVE
+        assert verify_witness(f, *cert.witness, tol)
+        frames += 1
+    assert frames >= 2_400
+
+
+def test_certify_walks_no_split_at_complex_minimal_count():
+    calls = []
+
+    def counting_complement_property(frame, tol):
+        calls.append(frame)
+        return complement_property(frame, tol)
+
+    with patch.object(injectivity, "complement_property", counting_complement_property):
+        for f in _minimal_count_frames():
+            certify(f)
+    assert calls == []
 
 
 def test_certify_complex_large_count_passes_necessary_conditions():

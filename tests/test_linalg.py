@@ -11,7 +11,6 @@ from framephase.linalg import (
     least_squares,
     null_space,
     rank,
-    sym_eig,
 )
 
 
@@ -112,26 +111,3 @@ def test_least_squares_matches_numpy(seed):
     expected, *_ = np.linalg.lstsq(a, b, rcond=None)
     npt.assert_allclose(sol.x, expected, atol=1e-10)
     npt.assert_allclose(sol.residual, np.linalg.norm(a @ sol.x - b), atol=1e-12)
-
-
-def test_sym_eig_hand_case():
-    # [[2,1],[1,2]] has eigenvalues 3 and 1 (descending order contract).
-    w, v = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    npt.assert_allclose(w, [3.0, 1.0], atol=1e-12)
-    npt.assert_allclose(v.T @ v, np.eye(2), atol=1e-12)
-    for i in range(2):
-        npt.assert_allclose(
-            np.array([[2.0, 1.0], [1.0, 2.0]]) @ v[:, i], w[i] * v[:, i], atol=1e-12
-        )
-
-
-def test_sym_eig_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_sym_eig_complex_hermitian():
-    a = np.array([[2.0, 1j], [-1j, 2.0]])
-    w, v = sym_eig(a)
-    npt.assert_allclose(w, [3.0, 1.0], atol=1e-12)
-    npt.assert_allclose(a @ v, v @ np.diag(w), atol=1e-12)

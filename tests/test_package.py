@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import framephase
 
@@ -8,10 +10,22 @@ MODULES = ("linalg", "frames", "magnitude", "injectivity", "reconstruct", "exper
 
 # Public in their modules, but not part of the package's exports.
 UNEXPORTED = {
-    "linalg": ("LeastSquares", "rank", "null_space", "column_space", "least_squares", "sym_eig"),
+    "linalg": ("LeastSquares", "rank", "null_space", "column_space", "least_squares"),
     "frames": ("encode_vector", "decode_vector"),
     "magnitude": ("MAGNITUDE_KEYS",),
     "experiments": ("M_RULES", "CSV_HEADER", "report_to_dict", "thin_witness_to_dict"),
+}
+
+
+# The only reads of a Tolerance field outside linalg.py, by (module,
+# enclosing function): the Gram screen's theta, the CLI flag defaults and
+# the Tolerance built from them, and the complex preset's loose tolerance.
+# Every other threshold comes from a Tolerance method.
+TOLERANCE_FIELD_READS = {
+    ("injectivity", "complement_property"),
+    ("cli", "_add_tol_flags"),
+    ("cli", "_tolerance"),
+    ("experiments", "run_complex_genericity"),
 }
 
 
@@ -60,3 +74,33 @@ def test_output_digest_runs_on_a_prefix():
         "presets": 15,
     }
     assert output_digest.digests(frames=20, trials=2) == first
+
+
+def _tolerance_field_reads(tree: ast.AST):
+    """The enclosing function's name (or "<module>") of each read of an
+    attribute named rank_eps or residual_eps."""
+    stack = [(tree, "<module>")]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in ("rank_eps", "residual_eps")
+        ):
+            yield func
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+
+
+def test_thresholds_are_formed_in_tolerance_alone():
+    # linalg.Tolerance holds every threshold rule; elsewhere its fields are
+    # read only where TOLERANCE_FIELD_READS says.
+    package = Path(framephase.__file__).parent
+    stray = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        stray |= {(path.stem, func) for func in _tolerance_field_reads(tree)}
+    assert stray - TOLERANCE_FIELD_READS == set()

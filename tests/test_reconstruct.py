@@ -147,6 +147,22 @@ def test_pruned_search_matches_exhaustive_on_infeasible():
     assert rays == []
 
 
+def test_oracle_same_ray_is_relative_below_unit_norm():
+    assert not oracles.same_ray(1e-9 * np.array([1.0, 0.0]), 1e-9 * np.array([0.0, 1.0]))
+
+
+def test_exhaustive_oracle_separates_rays_at_the_library_scale():
+    # The mirror ray (1, -8e-9) lies 1.6e-8 ||a|| away, beyond residual_eps.
+    f = Frame(REAL, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
+    a = magnitude_map(f, np.array([1.0, 8e-9]))
+    status, rays = oracles.exhaustive_real_rays(f.vectors, a)
+    result = reconstruct_real(f, a)
+    assert status == result.status == STATUS_AMBIGUOUS
+    assert len(rays) == len(result.rays) == 2
+    for r in rays:
+        assert any(oracles.same_ray(r, s) for s in result.rays)
+
+
 def _degenerate_case(seed, n, m, case):
     """A real frame and magnitudes for one of the awkward input regimes."""
     rng = np.random.default_rng(seed)
