@@ -151,8 +151,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     cert = certify(frame, tol)
     _emit_json(certificate_to_dict(cert, frame.field))
+    # A not_injective certificate without a failing subset comes from the
+    # pivots of a complex M = 2N-1 frame, so its count is of pivots.
+    if cert.verdict == VERDICT_NOT_INJECTIVE and cert.failing_subset is None:
+        counted = f"tried {cert.checked_subsets} pivot(s)"
+    else:
+        counted = f"checked {cert.checked_subsets} split(s)"
     _info(
-        f"verdict: {cert.verdict} (checked {cert.checked_subsets} subset(s), "
+        f"verdict: {cert.verdict} ({counted}, "
         f"field={frame.field}, N={frame.n}, M={frame.m})"
     )
     if frame.field == COMPLEX and cert.verdict == VERDICT_NOT_INJECTIVE:
@@ -175,6 +181,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
     x = _parse_numbers(text, frame.field)
     if x.shape != (frame.n,):
         raise ValueError(f"expected {frame.n} entries, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x entries must be finite")
     magnitudes = magnitude_map(frame, x)
     save_measurement(magnitudes, args.out)
     _info(f"wrote {frame.m} magnitudes to {args.out}")
@@ -199,9 +207,13 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         )
     elapsed = time.perf_counter() - started
     _emit_json(result_to_dict(result, frame.field))
+    if frame.field == REAL:
+        work = f"{result.patterns_explored} sign-tree node(s)"
+    else:
+        work = f"{result.restarts_used} restart(s)"
     _info(
         f"status: {result.status} ({len(result.rays)} ray(s), "
-        f"{result.patterns_explored} sign-tree node(s), {elapsed * 1000.0:.1f} ms)"
+        f"{work}, {elapsed * 1000.0:.1f} ms)"
     )
     if result.status in (STATUS_UNIQUE, STATUS_HEURISTIC_SUCCESS):
         return 0
@@ -335,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind",
         choices=("random", "full-spark", "repeated-tail", "gabor"),
         default="random",
+        help="gabor frames are never injective for --n >= 2: only the first "
+        "window placement touches sample 0",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, metavar="FRAME_FILE")

@@ -35,16 +35,11 @@ from .injectivity import (
     VERDICT_NOT_INJECTIVE,
     certify,
     complement_property,
-    complex_size_check,
     verify_witness,
 )
 from .linalg import DEFAULT_TOL, Tolerance, null_space, rank
 from .magnitude import magnitude_map, ray_equal
-from .reconstruct import (
-    STATUS_HEURISTIC_SUCCESS,
-    enumerate_ambiguities,
-    reconstruct_complex,
-)
+from .reconstruct import STATUS_HEURISTIC_SUCCESS, reconstruct_complex, reconstruct_real
 
 __all__ = [
     "ExperimentConfig",
@@ -288,7 +283,7 @@ def run_dense_interior_real(
         rng = _trial_rng(seed, n, m, 2, t)
         frame = gen_random(REAL, n, m, rng)
         x = rng.standard_normal(n)
-        rays = enumerate_ambiguities(frame, x, tol)
+        rays = reconstruct_real(frame, magnitude_map(frame, x), tol).rays
         return len(rays) == 1 and ray_equal(rays[0], x, tol)
 
     def summarize(unique: list[bool]):
@@ -328,24 +323,23 @@ def run_complex_genericity(cfg: ExperimentConfig) -> ExperimentReport:
     loose = Tolerance(cfg.tol.rank_eps, 1e-6)
     cells: list[CellResult] = []
     for n in cfg.n_values:
-        # Size obstruction cell: M = 2N-1 is never injective.
+        # Size obstruction cell: M = 2N-1 < 2N is never injective.
         m = 2 * n - 1
+        size_fail = m < 2 * n
 
-        def obstruction(t: int) -> tuple[bool, bool]:
+        def obstruction(t: int) -> bool:
             frame = gen_random(COMPLEX, n, m, _trial_rng(cfg.seed, n, m, 4, t))
-            size_fail = not complex_size_check(frame)
             cert = certify(frame, cfg.tol)
-            return size_fail, cert.verdict == VERDICT_NOT_INJECTIVE and verify_witness(
+            return cert.verdict == VERDICT_NOT_INJECTIVE and verify_witness(
                 frame, *cert.witness, cfg.tol
             )
 
-        def summarize_obstruction(outcomes: list[tuple[bool, bool]]):
-            size_fail = sum(fail for fail, _ in outcomes)
+        def summarize_obstruction(verified: list[bool]):
             extras = {
-                "size_check_fail_rate": size_fail / cfg.trials,
-                "witness_verified_rate": sum(ok for _, ok in outcomes) / cfg.trials,
+                "size_check_fail_rate": float(size_fail),
+                "witness_verified_rate": sum(verified) / cfg.trials,
             }
-            return 0.0 if size_fail == cfg.trials else None, None, extras
+            return 0.0 if size_fail else None, None, extras
 
         cells += _cell(COMPLEX, n, m, cfg.trials, cfg.seed, obstruction, summarize_obstruction)
         # Heuristic recovery cells.

@@ -272,6 +272,13 @@ def gen_windowed_fourier(window, signal_len: int, hop: int, fft_size: int) -> Fr
 
     Rejects window placements that leave some sample untouched by a nonzero
     window entry (the family is then not a frame).
+
+    For signal_len >= 2 the frame is never injective, in either field.
+    Placements do not wrap around, so only the first one touches sample 0.
+    When fft_size < signal_len, its fft_size vectors span fewer than
+    signal_len dimensions and every other vector is 0 at sample 0, so
+    neither side of that split spans. When fft_size = signal_len there is
+    one placement, so M = signal_len < 2 signal_len - 1.
     """
     g = np.asarray(window, dtype=np.float64)
     if g.ndim != 1:

@@ -19,14 +19,11 @@ and NecessaryConditionsPass (complex, no obstruction found).
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .frames import COMPLEX, REAL, Frame, analysis_matrix, encode_vector
+from .frames import REAL, Frame, analysis_matrix, encode_vector
 from .linalg import DEFAULT_TOL, Tolerance, null_space, rank
 from .magnitude import SignPattern, canonical_ray, magnitude_map, ray_equal
 
@@ -35,14 +32,9 @@ __all__ = [
     "VERDICT_NOT_INJECTIVE",
     "VERDICT_NECESSARY",
     "InjectivityCertificate",
-    "FullSpark",
-    "FullSparkEquivalence",
     "complement_property",
-    "full_spark_test",
     "witness_pair",
     "verify_witness",
-    "complex_size_check",
-    "necessary_condition_for_M_2N_minus_1",
     "certify",
     "certificate_to_dict",
 ]
@@ -53,9 +45,6 @@ VERDICT_NECESSARY = "necessary_conditions_pass"
 
 # Most frame vectors whose 2^(M-1) splits complement_property enumerates.
 _MAX_VECTORS = 24
-
-# Most N-subsets full_spark_test checks.
-_MAX_SUBSETS = 2_000_000
 
 # complement_property screens the splits in blocks of 64 masks that double
 # up to this many; larger blocks cost memory and save no time.
@@ -229,83 +218,6 @@ def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Injectivi
     verdict = VERDICT_INJECTIVE if frame.field == REAL else VERDICT_NECESSARY
     return InjectivityCertificate(
         verdict=verdict, failing_subset=None, witness=None, checked_subsets=pairs
-    )
-
-
-class FullSpark(NamedTuple):
-    is_full_spark: bool
-    dependent_subset: tuple[int, ...] | None
-
-
-def full_spark_test(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> FullSpark:
-    """Whether every subset of N frame vectors is linearly independent.
-
-    Subsets are visited in lexicographic order; the first dependent one is
-    reported. Full spark together with M >= 2N-1 forces the subset
-    spanning condition: any side of a split with at least N vectors spans,
-    and one side always has at least N of the M >= 2N-1 indices.
-    """
-    m, n = frame.m, frame.n
-    total = math.comb(m, n)
-    if total > _MAX_SUBSETS:
-        raise ValueError(
-            f"C({m},{n}) = {total} subsets exceeds the budget ({_MAX_SUBSETS})"
-        )
-    vectors = frame.vectors
-    for subset in itertools.combinations(range(m), n):
-        if rank(vectors[list(subset)], tol) < n:
-            return FullSpark(False, subset)
-    return FullSpark(True, None)
-
-
-def complex_size_check(frame: Frame) -> bool:
-    """Size test for complex frames: injectivity requires M >= 2N.
-
-    Returns False when M <= 2N-1 (certainly not injective for N >= 2), True
-    when the count is large enough for injectivity to be possible.
-    """
-    if frame.field != COMPLEX:
-        raise ValueError("complex_size_check applies to complex frames")
-    return frame.m >= 2 * frame.n
-
-
-@dataclass(frozen=True)
-class FullSparkEquivalence:
-    """Both sides of the M = 2N-1 equivalence, for cross-checking.
-
-    At exactly M = 2N-1 a real frame is injective if and only if it is
-    full spark: a dependent N-subset leaves its complement with only N-1
-    vectors, so neither side spans.
-    """
-
-    is_full_spark: bool
-    dependent_subset: tuple[int, ...] | None
-    certificate: InjectivityCertificate
-
-    @property
-    def consistent(self) -> bool:
-        return self.is_full_spark == (self.certificate.verdict == VERDICT_INJECTIVE)
-
-
-def necessary_condition_for_M_2N_minus_1(
-    frame: Frame, tol: Tolerance = DEFAULT_TOL
-) -> FullSparkEquivalence:
-    """Run full_spark_test and complement_property side by side at M = 2N-1.
-
-    The two verdicts must agree; the returned report carries whichever
-    side failed (dependent subset, or failing split with witness) so a
-    disagreement can be traced to its tolerance decision.
-    """
-    if frame.field != REAL:
-        raise ValueError("the full-spark equivalence is a real-frame statement")
-    if frame.m != 2 * frame.n - 1:
-        raise ValueError(f"requires M = 2N-1, got N={frame.n}, M={frame.m}")
-    spark = full_spark_test(frame, tol)
-    cert = complement_property(frame, tol)
-    return FullSparkEquivalence(
-        is_full_spark=spark.is_full_spark,
-        dependent_subset=spark.dependent_subset,
-        certificate=cert,
     )
 
 

@@ -134,8 +134,10 @@ def measurement_from_dict(data: dict) -> np.ndarray:
 
 
 def save_measurement(magnitudes, path: str | os.PathLike) -> None:
+    # Validate before opening, so bad magnitudes leave the file untouched.
+    data = measurement_to_dict(magnitudes)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(measurement_to_dict(magnitudes), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 

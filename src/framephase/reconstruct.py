@@ -36,7 +36,6 @@ __all__ = [
     "ReconstructionResult",
     "SearchBudgetExceeded",
     "reconstruct_real",
-    "enumerate_ambiguities",
     "error_reduction",
     "reconstruct_complex",
     "result_to_dict",
@@ -252,12 +251,6 @@ def reconstruct_real(
         if sol.residual <= threshold:
             solutions.append(sol.x)
     return _finalize(frame, a, solutions, tol, patterns_explored=nodes)
-
-
-def enumerate_ambiguities(frame: Frame, x, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """All rays sharing the magnitude measurements of x (x's own included)."""
-    result = reconstruct_real(frame, magnitude_map(frame, x), tol)
-    return list(result.rays)
 
 
 def error_reduction(

@@ -81,6 +81,23 @@ def _row_rank(b, rows, rank_eps):
     return int(np.sum(sv > rank_eps * sv[0]))
 
 
+def full_spark(vectors, rank_eps=1e-10):
+    """Whether every N of the M frame vectors are linearly independent.
+
+    Visits the N-subsets in lexicographic order and returns
+    (is_full_spark, first_dependent_subset_or_None). At M = 2N-1 a real
+    frame is injective exactly when it is full spark: a dependent N-subset
+    leaves its complement only N-1 vectors, so neither side spans, and
+    otherwise the side with at least N of the indices spans.
+    """
+    vectors = np.asarray(vectors)
+    m, n = vectors.shape
+    for subset in itertools.combinations(range(m), n):
+        if _row_rank(vectors, list(subset), rank_eps) < n:
+            return False, subset
+    return True, None
+
+
 def injectivity_oracle(vectors, rank_eps=1e-10):
     """Subset-condition verdict computed on the coefficient-range side.
 

@@ -28,8 +28,6 @@ from framephase.injectivity import (
     VERDICT_NOT_INJECTIVE,
     certify,
     complement_property,
-    full_spark_test,
-    necessary_condition_for_M_2N_minus_1,
     verify_witness,
 )
 from framephase.linalg import Tolerance
@@ -202,20 +200,22 @@ def test_acceptance_4_full_spark_sufficiency_and_2n_minus_1_equivalence():
             frame = gen_repeated_tail(REAL, n, m, seed=[43, n, m])
             if certify(frame).verdict != VERDICT_INJECTIVE:
                 failures.append(("repeated-tail verdict", n, m))
-            if full_spark_test(frame).is_full_spark:
+            if oracles.full_spark(frame.vectors)[0]:
                 failures.append(("repeated-tail spark", n, m))
     # (c) at M = 2N-1 the two sides agree on 100 random + 10 dependent frames.
     for trial in range(100):
         n = 2 + trial % 3
         frame = gen_random(REAL, n, 2 * n - 1, seed=[44, trial])
-        if not necessary_condition_for_M_2N_minus_1(frame).consistent:
+        verdict = complement_property(frame).verdict
+        if oracles.full_spark(frame.vectors)[0] != (verdict == VERDICT_INJECTIVE):
             failures.append(("equivalence random", trial))
     for case in range(10):
         frame = _handcrafted_dependent_2n_minus_1(case)
-        eq = necessary_condition_for_M_2N_minus_1(frame)
-        if not eq.consistent or eq.is_full_spark:
+        is_full_spark = oracles.full_spark(frame.vectors)[0]
+        verdict = complement_property(frame).verdict
+        if is_full_spark != (verdict == VERDICT_INJECTIVE) or is_full_spark:
             failures.append(("equivalence dependent", case))
-        if eq.certificate.verdict != VERDICT_NOT_INJECTIVE:
+        if verdict != VERDICT_NOT_INJECTIVE:
             failures.append(("dependent verdict", case))
     ok = not failures
     line = record_acceptance(

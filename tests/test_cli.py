@@ -165,6 +165,45 @@ def test_measure_x_file_and_complex_entries(tmp_path):
     assert all(v >= 0 for v in data["magnitudes"])
 
 
+def test_failed_measure_leaves_the_output_file_untouched(tmp_path):
+    frame = tmp_path / "f.json"
+    meas = tmp_path / "m.json"
+    run_cli("gen", "--field", "real", "--n", "2", "--m", "3", "--seed", "0",
+            "--out", str(frame))
+    assert run_cli("measure", str(frame), "--x", "1,2", "--out", str(meas))[0] == 0
+    before = meas.read_bytes()
+    for x in ("inf,1", "nan,1"):
+        code, _, err = run_cli("measure", str(frame), f"--x={x}", "--out", str(meas))
+        assert code == 1 and "x entries must be finite" in err
+        assert meas.read_bytes() == before
+
+
+@pytest.mark.parametrize("field,counted", [
+    ("real", "checked 16 split(s)"),  # N=3, M=5: all 2^(M-1) splits
+    ("complex", "tried 1 pivot(s)"),  # M = 2N-1: the first pivot's witness verifies
+])
+def test_certify_log_names_what_it_counted(tmp_path, field, counted):
+    frame = tmp_path / "f.json"
+    run_cli("gen", "--field", field, "--n", "3", "--m", "5", "--seed", "0",
+            "--out", str(frame))
+    _, out, err = run_cli("certify", str(frame))
+    assert f"({counted}, field={field}, N=3, M=5)" in err
+    assert json.loads(out)["checked_subsets"] == int(counted.split()[1])
+
+
+def test_reconstruct_log_counts_restarts_for_complex_frames(tmp_path):
+    frame = tmp_path / "c.json"
+    meas = tmp_path / "m.json"
+    run_cli("gen", "--field", "complex", "--n", "2", "--m", "6", "--seed", "5",
+            "--out", str(frame))
+    run_cli("measure", str(frame), "--x", "1+1j,-2", "--out", str(meas))
+    code, out, err = run_cli("reconstruct", str(frame), str(meas), "--seed", "11")
+    assert code == 0
+    restarts = json.loads(out)["restarts_used"]
+    assert f"(1 ray(s), {restarts} restart(s), " in err
+    assert "sign-tree" not in err
+
+
 def test_reconstruct_exit_codes(tmp_path):
     amb_frame = tmp_path / "amb.json"
     save_frame(Frame(REAL, np.eye(2)), amb_frame)

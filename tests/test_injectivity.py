@@ -15,6 +15,7 @@ from framephase.frames import (
     gen_full_spark,
     gen_random,
     gen_repeated_tail,
+    gen_windowed_fourier,
 )
 from framephase.injectivity import (
     VERDICT_INJECTIVE,
@@ -23,9 +24,6 @@ from framephase.injectivity import (
     certificate_to_dict,
     certify,
     complement_property,
-    complex_size_check,
-    full_spark_test,
-    necessary_condition_for_M_2N_minus_1,
     verify_witness,
     witness_pair,
 )
@@ -111,32 +109,20 @@ def test_complement_property_agrees_with_range_side_oracle(seed):
 
 def test_full_spark_detects_dependency():
     f = doubled_basis_frame()
-    spark = full_spark_test(f)
-    assert not spark.is_full_spark
-    assert spark.dependent_subset == (1, 2)
-    assert full_spark_test(gen_full_spark(REAL, 3, 6, seed=1)).is_full_spark
-
-
-def test_full_spark_budget():
-    f = gen_random(REAL, 12, 24, seed=0)  # C(24, 12) = 2,704,156 subsets
-    with pytest.raises(ValueError):
-        full_spark_test(f)
-
-
-def test_complex_size_check():
-    assert not complex_size_check(gen_random(COMPLEX, 2, 3, seed=0))
-    assert complex_size_check(gen_random(COMPLEX, 2, 4, seed=0))
-    with pytest.raises(ValueError):
-        complex_size_check(gen_random(REAL, 2, 4, seed=0))
+    is_full_spark, subset = oracles.full_spark(f.vectors)
+    assert not is_full_spark
+    assert subset == (1, 2)
+    assert oracles.full_spark(gen_full_spark(REAL, 3, 6, seed=1).vectors)[0]
 
 
 @pytest.mark.parametrize("n,seed", [(2, 0), (2, 3), (3, 1)])
 def test_full_spark_equivalence_random(n, seed):
     f = gen_random(REAL, n, 2 * n - 1, seed=seed)
-    eq = necessary_condition_for_M_2N_minus_1(f)
-    assert eq.consistent
-    assert eq.is_full_spark
-    assert eq.certificate.verdict == VERDICT_INJECTIVE
+    is_full_spark, _ = oracles.full_spark(f.vectors)
+    cert = complement_property(f)
+    assert is_full_spark == (cert.verdict == VERDICT_INJECTIVE)
+    assert is_full_spark
+    assert cert.verdict == VERDICT_INJECTIVE
 
 
 def test_full_spark_equivalence_handcrafted_dependent():
@@ -144,26 +130,39 @@ def test_full_spark_equivalence_handcrafted_dependent():
     vectors = base.vectors.copy()
     vectors[4] = vectors[1]  # duplicate kills full spark at M = 2N-1
     f = Frame(REAL, vectors)
-    eq = necessary_condition_for_M_2N_minus_1(f)
-    assert eq.consistent
-    assert not eq.is_full_spark
-    assert eq.certificate.verdict == VERDICT_NOT_INJECTIVE
-    assert verify_witness(f, *eq.certificate.witness)
-
-
-def test_full_spark_equivalence_preconditions():
-    with pytest.raises(ValueError):
-        necessary_condition_for_M_2N_minus_1(gen_random(REAL, 3, 6, seed=0))
-    with pytest.raises(ValueError):
-        necessary_condition_for_M_2N_minus_1(gen_random(COMPLEX, 3, 5, seed=0))
+    is_full_spark, _ = oracles.full_spark(f.vectors)
+    cert = complement_property(f)
+    assert is_full_spark == (cert.verdict == VERDICT_INJECTIVE)
+    assert not is_full_spark
+    assert cert.verdict == VERDICT_NOT_INJECTIVE
+    assert verify_witness(f, *cert.witness)
 
 
 def test_repeated_tail_injective_without_full_spark():
     f = gen_repeated_tail(REAL, 2, 4, seed=0)
     assert complement_property(f).verdict == VERDICT_INJECTIVE
-    spark = full_spark_test(f)
-    assert not spark.is_full_spark
-    assert spark.dependent_subset == (2, 3)
+    is_full_spark, subset = oracles.full_spark(f.vectors)
+    assert not is_full_spark
+    assert subset == (2, 3)
+
+
+def test_gabor_frames_are_never_injective():
+    # Only the first window placement touches sample 0 (gen_windowed_fourier
+    # explains why that rules out injectivity); every such frame has M <= 20.
+    certified = 0
+    for n in range(2, 9):
+        for fft_size in range(1, n + 1):
+            for hop in (1, 2, 3):
+                rng = np.random.default_rng([n, fft_size, hop])
+                for window in (np.ones(fft_size), rng.standard_normal(fft_size)):
+                    try:
+                        f = gen_windowed_fourier(window, n, hop, fft_size)
+                    except ValueError as exc:
+                        assert "not a frame" in str(exc)
+                        continue
+                    assert certify(f).verdict == VERDICT_NOT_INJECTIVE, (n, fft_size, hop)
+                    certified += 1
+    assert certified == 122
 
 
 @pytest.mark.parametrize("seed", range(4))

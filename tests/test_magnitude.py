@@ -106,3 +106,10 @@ def test_measurement_validation():
         measurement_from_dict({"m": 2, "magnitudes": [1.0, -2.0]})
     with pytest.raises(ValueError):
         measurement_from_dict({"magnitudes": [1.0]})
+
+
+def test_save_measurement_rejects_before_creating_the_file(tmp_path):
+    path = tmp_path / "meas.json"
+    with pytest.raises(ValueError, match="finite"):
+        save_measurement([np.nan], path)
+    assert not path.exists()

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import framephase
@@ -104,3 +105,30 @@ def test_thresholds_are_formed_in_tolerance_alone():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         stray |= {(path.stem, func) for func in _tolerance_field_reads(tree)}
     assert stray - TOLERANCE_FIELD_READS == set()
+
+
+def _names_read(tree: ast.AST):
+    """Every name a module loads, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_export_is_read_by_the_package_or_in_the_readme():
+    # A public name that no module reads and the README never mentions
+    # serves no caller of the package; tests keep such code in their oracles.
+    package = Path(framephase.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        read.update(_names_read(ast.parse(path.read_text(encoding="utf-8"), str(path))))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    orphans = [
+        name
+        for name in framephase.__all__
+        if name != "__version__"
+        and name not in read
+        and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert orphans == []

@@ -12,7 +12,6 @@ from framephase.frames import (
     analysis_matrix,
     coefficient_range,
     gen_random,
-    gen_repeated_tail,
 )
 from framephase.linalg import DEFAULT_TOL, Tolerance, least_squares
 from framephase.magnitude import magnitude_map, ray_equal
@@ -25,7 +24,6 @@ from framephase.reconstruct import (
     SearchBudgetExceeded,
     _finalize,
     _pivot_block,
-    enumerate_ambiguities,
     error_reduction,
     reconstruct_complex,
     reconstruct_real,
@@ -348,13 +346,6 @@ def test_search_budget_counts_full_sign_patterns(monkeypatch):
     assert partial.status == STATUS_NO_SOLUTION
     assert partial.rays == []
     assert partial.patterns_explored == 3
-
-
-def test_enumerate_ambiguities_counts():
-    f = gen_repeated_tail(REAL, 2, 4, seed=0)  # injective
-    x = np.array([0.7, -1.3])
-    assert len(enumerate_ambiguities(f, x)) == 1
-    assert len(enumerate_ambiguities(Frame(REAL, np.eye(2)), np.array([1.0, 1.0]))) == 2
 
 
 @pytest.mark.parametrize("seed", range(5))
