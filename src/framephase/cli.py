@@ -378,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("frame", metavar="FRAME_FILE")
     p.add_argument("measurement", metavar="MEAS_FILE")
     p.add_argument("--restarts", type=int, default=20, help="complex-only restarts")
-    p.add_argument("--max-iters", type=int, default=500, help="complex-only iterations")
+    p.add_argument(
+        "--max-iters", type=int, default=500, help="complex-only iterations per restart"
+    )
     p.add_argument("--seed", type=int, default=0, help="complex-only restart seed")
     _add_tol_flags(p)
     p.set_defaults(func=cmd_reconstruct)

@@ -10,10 +10,14 @@ own least-squares acceptance test. Every accepted preimage's block
 pattern passes the filter, so the search matches exhaustive enumeration
 at a cost of 2^(N-1) block patterns times M rows.
 
-Complex case: the phases live on a torus and no finite enumeration exists;
-an alternating projection heuristic (project onto the coefficient range,
-then restore the measured magnitudes) is run from random phase starts.
-Returned results are always re-verified against the measurements.
+Complex case: the phases live on a torus and no finite enumeration exists.
+From random phase starts, Levenberg-Marquardt (damped Gauss-Newton, as in
+Gao and Xu's phaseless recovery; Wirtinger flow is gradient descent on the
+same loss) minimizes the intensity residual |Q y|^2 - a^2 over coordinates
+y of an orthonormal basis Q of the coefficient range. error_reduction, the
+alternating projection between that range and the magnitude torus
+(Griffin-Lim), stays public as a primitive. Returned results are always
+re-verified against the measurements.
 """
 
 from __future__ import annotations
@@ -53,6 +57,16 @@ _CHUNK = 4096
 _NODE_BUDGET = 1_000_000
 # Error-reduction sweeps without meaningful improvement before it stops.
 _STALL_WINDOW = 30
+# Levenberg-Marquardt in reconstruct_complex: the starting damping, its
+# floor (J^T J is singular along the global phase, so undamped steps are
+# not defined), the damping past which a restart stops, and the stall rule
+# (stop once the loss fell by less than _LM_STALL_REL of itself over
+# _LM_STALL_WINDOW iterations).
+_LM_DAMPING = 1e-3
+_LM_DAMPING_FLOOR = 1e-12
+_LM_DAMPING_CAP = 1e10
+_LM_STALL_WINDOW = 8
+_LM_STALL_REL = 1e-6
 
 
 @dataclass
@@ -298,6 +312,63 @@ def error_reduction(
     return best_p, history
 
 
+def _levenberg_marquardt(
+    basis: np.ndarray,
+    magnitudes: np.ndarray,
+    start: np.ndarray,
+    max_iters: int,
+    tol: Tolerance = DEFAULT_TOL,
+) -> tuple[np.ndarray, list[float]]:
+    """Levenberg-Marquardt on the intensity residual f = |Q y|^2 - a^2 over
+    coordinates y in C^N (viewed as R^2N) of the coefficient range, whose
+    orthonormal basis Q is ``basis``, from the starting coordinates
+    ``start``.
+
+    Each iteration solves (J^T J + lam diag(J^T J)) d = -J^T f for the
+    Jacobian J = 2 Re(conj(Q y) [Q, iQ]) and takes the step only if ||f||
+    falls; lam is divided by 3 after a step taken and multiplied by 4
+    after one refused. Returns the final y and the history of ||f||, one
+    entry per iteration, which never increases. Stops once the amplitude
+    residual || |Q y| - a || is at most Tolerance.residual_bound(a), once
+    ||f|| fell by less than _LM_STALL_REL of itself over the last
+    _LM_STALL_WINDOW iterations, or once lam passes _LM_DAMPING_CAP.
+    """
+    a = np.asarray(magnitudes, dtype=np.float64)
+    a2 = a * a
+    threshold = tol.residual_bound(a)
+    m, n = basis.shape
+    # Q y = c[:m] + i c[m:] for c = q @ z and z = [Re y, Im y].
+    q = np.block([[basis.real, -basis.imag], [basis.imag, basis.real]])
+    z = np.concatenate([start.real, start.imag])
+    c = q @ z
+    f = c[:m] ** 2 + c[m:] ** 2 - a2
+    loss = float(f @ f)
+    lam = _LM_DAMPING
+    history: list[float] = []
+    for _ in range(max_iters):
+        if float(np.linalg.norm(np.hypot(c[:m], c[m:]) - a)) <= threshold or lam > _LM_DAMPING_CAP:
+            break
+        half_jac = c[:m, None] * q[:m] + c[m:, None] * q[m:]
+        damped = half_jac.T @ half_jac
+        damped.flat[:: 2 * n + 1] *= 1.0 + lam
+        z_new = z - 0.5 * np.linalg.solve(damped, half_jac.T @ f)
+        c_new = q @ z_new
+        f_new = c_new[:m] ** 2 + c_new[m:] ** 2 - a2
+        loss_new = float(f_new @ f_new)
+        if loss_new < loss:
+            z, c, f, loss = z_new, c_new, f_new, loss_new
+            lam = max(lam / 3.0, _LM_DAMPING_FLOOR)
+        else:
+            lam *= 4.0
+        history.append(np.sqrt(loss))
+        if (
+            len(history) > _LM_STALL_WINDOW
+            and history[-_LM_STALL_WINDOW - 1] - history[-1] < _LM_STALL_REL * history[-1]
+        ):
+            break
+    return z[:n] + 1j * z[n:], history
+
+
 def reconstruct_complex(
     frame: Frame,
     magnitudes,
@@ -306,14 +377,18 @@ def reconstruct_complex(
     seed=0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> ReconstructionResult:
-    """Heuristic ray recovery for complex frames via alternating projection.
+    """Heuristic ray recovery for complex frames by Levenberg-Marquardt.
 
-    Each restart draws uniform random phases (deterministically from
-    (seed, restart index)), runs error reduction, and accepts as soon as
-    the measurement residual is at most residual_eps * ||a||; the
-    recovered ray is then re-verified against the measurements. All-zero
-    measurements identify the zero ray exactly (Unique). Exhausting every
-    restart yields HeuristicFail with the best residual seen; a failure is
+    The unknowns are the coordinates y of the coefficient vector in an
+    orthonormal basis Q of the coefficient range, so the frame's
+    conditioning does not enter the solve. Each restart draws uniform
+    random phases (deterministically from (seed, restart index)), starts
+    from y = Q* (a e^{i phase}), runs at most max_iters Levenberg-Marquardt
+    iterations on |Q y|^2 - a^2, and accepts as soon as the measurement
+    residual is at most residual_eps * ||a||; the ray solving T x = Q y is
+    then re-verified against the measurements. All-zero measurements
+    identify the zero ray exactly (Unique). Exhausting every restart
+    yields HeuristicFail with the best residual seen; a failure is
     evidence, not proof, that no preimage exists.
     """
     if frame.field != COMPLEX:
@@ -332,13 +407,14 @@ def reconstruct_complex(
     for attempt in range(restarts):
         rng = np.random.default_rng([seed, attempt])
         phases = rng.uniform(0.0, 2.0 * np.pi, frame.m)
-        start = a * np.exp(1j * phases)
-        p, history = error_reduction(basis, a, start, max_iters, tol)
-        res = min(history)  # max_iters >= 1, so history is never empty
+        start = basis.conj().T @ (a * np.exp(1j * phases))
+        y, _ = _levenberg_marquardt(basis, a, start, max_iters, tol)
+        c = basis @ y
+        res = float(np.linalg.norm(np.abs(c) - a))
         best_overall = min(best_overall, res)
         if res <= threshold:
             found = _finalize(
-                frame, a, [least_squares(t, p, tol).x], tol, restarts_used=attempt + 1
+                frame, a, [least_squares(t, c, tol).x], tol, restarts_used=attempt + 1
             )
             if found.rays:
                 return found

@@ -15,7 +15,7 @@ on these inputs:
 - certify-tall: the same for F/30 (rounded up) real Gaussian frames with
   N 3-4 and M 12-14, whose 2^(M-1) splits all get walked;
 - reconstruct: the result JSON of reconstruct_real, or of
-  reconstruct_complex at 5 restarts of 200 sweeps, on each frame, from
+  reconstruct_complex at 5 restarts of 200 iterations, on each frame, from
   planted, random, zero or 1e-9-scaled planted magnitudes in turn;
 - presets: the JSON and CSV report bytes of the five experiment presets at
   seed 7, at their default trial counts unless --trials is given.

@@ -5,6 +5,7 @@ import scipy.linalg
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from framephase import reconstruct
+from framephase.experiments import _derived_seed, _trial_rng
 from framephase.frames import (
     COMPLEX,
     REAL,
@@ -14,6 +15,7 @@ from framephase.frames import (
     gen_random,
 )
 from framephase.linalg import DEFAULT_TOL, Tolerance, least_squares
+from framephase.injectivity import verify_witness
 from framephase.magnitude import magnitude_map, ray_equal
 from framephase.reconstruct import (
     STATUS_AMBIGUOUS,
@@ -23,6 +25,7 @@ from framephase.reconstruct import (
     STATUS_UNIQUE,
     SearchBudgetExceeded,
     _finalize,
+    _levenberg_marquardt,
     _pivot_block,
     error_reduction,
     reconstruct_complex,
@@ -31,6 +34,7 @@ from framephase.reconstruct import (
 )
 
 import oracles
+import output_digest
 
 LOOSE = Tolerance(rank_eps=1e-10, residual_eps=1e-6)
 
@@ -412,6 +416,97 @@ def test_reconstruct_complex_infeasible_measurements_fail():
     assert result.status == STATUS_HEURISTIC_FAIL
     assert result.rays == []
     assert result.best_residual is not None and result.best_residual > 1e-4
+
+
+@pytest.mark.parametrize("seed, n, m, t", [(7, 2, 4, 136), (7, 3, 6, 179), (11, 2, 6, 53)])
+def test_reconstruct_complex_recovers_the_complex_preset_trials_error_reduction_missed(
+    seed, n, m, t
+):
+    # Error reduction stalled just above residual_bound(a) on these trials of
+    # the complex preset (best 4.22e-8 against 3.65e-8, 9.83e-8 against
+    # 9.22e-8, 1.02e-7 against 9.67e-8) and used all 20 restarts. The input
+    # is built as run_complex_genericity builds it.
+    rng = _trial_rng(seed, n, m, 5, t)
+    f = gen_random(COMPLEX, n, m, rng)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = magnitude_map(f, x)
+    result = reconstruct_complex(
+        f, a, restarts=20, max_iters=500, seed=_derived_seed(seed, n, m, 6, t)
+    )
+    assert result.status == STATUS_HEURISTIC_SUCCESS
+    assert ray_equal(result.rays[0], x, LOOSE)
+    assert result.best_residual <= DEFAULT_TOL.residual_bound(a)
+
+
+# Planted and 1e-9-scaled planted inputs of tests/output_digest.py on nearly
+# low-dimensional, row-scaled and duplicate-row frames (condition numbers up
+# to 6e9). Levenberg-Marquardt over x itself, rather than over coordinates
+# of the coefficient range, returned heuristic_fail on all of them.
+_ILL_CONDITIONED = (81, 417, 487, 529, 543, 585, 633, 641, 879, 1129, 1159, 1215, 1271, 1297, 1383)
+# Frames below 4N-4 vectors where another ray matches the planted magnitudes
+# within the bound; error reduction returns that ray too.
+_SECOND_RAY = (1129, 1271)
+
+
+@pytest.mark.parametrize("i", _ILL_CONDITIONED)
+def test_reconstruct_complex_recovers_planted_coefficients_on_ill_conditioned_frames(i):
+    f, x = output_digest._frame(i)
+    if output_digest.MAGNITUDES[(i // 2) % len(output_digest.MAGNITUDES)] == "scaled":
+        x = 1e-9 * x
+    result = reconstruct_complex(f, magnitude_map(f, x), restarts=5, max_iters=200, seed=i)
+    assert result.status == STATUS_HEURISTIC_SUCCESS
+    ray = result.rays[0]
+    if i in _SECOND_RAY:
+        assert verify_witness(f, ray, x)
+    else:
+        # The frame's conditioning spreads the planted ray along its nearly
+        # null directions, so the rays are compared by their coefficients.
+        t = analysis_matrix(f)
+        assert ray_equal(t @ ray, t @ x, LOOSE)
+
+
+def test_reconstruct_complex_restarts_stop_early_on_inconsistent_magnitudes(monkeypatch):
+    f = gen_random(COMPLEX, 3, 10, seed=10)
+    a = np.abs(np.random.default_rng(10).standard_normal(10)) + 0.5
+    lengths = []
+
+    def recording(*args):
+        y, history = _levenberg_marquardt(*args)
+        lengths.append(len(history))
+        return y, history
+
+    monkeypatch.setattr(reconstruct, "_levenberg_marquardt", recording)
+    result = reconstruct_complex(f, a, restarts=20, max_iters=500, seed=0)
+    assert result.status == STATUS_HEURISTIC_FAIL
+    assert result.best_residual is not None and result.best_residual > 1e-4
+    # Every restart ends on the stall or damping rule, not on max_iters.
+    assert len(lengths) == 20
+    assert max(lengths) < 500
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    extra=st.integers(0, 8),
+    consistent=st.booleans(),
+)
+def test_levenberg_marquardt_loss_never_increases(seed, n, extra, consistent):
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    f = gen_random(COMPLEX, n, m, seed=seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = magnitude_map(f, x) if consistent else np.abs(rng.standard_normal(m))
+    basis = coefficient_range(f)
+    start = basis.conj().T @ (a * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m)))
+    y, history = _levenberg_marquardt(basis, a, start, 100)
+    assert len(history) <= 100
+    assert np.all(np.diff(history) <= 0.0)
+    if history:
+        # The returned coordinates are the iterate whose loss ends the history,
+        # up to the rounding of |Q y|^2 - a^2 on the scale of ||a||^2.
+        loss = np.linalg.norm(np.abs(basis @ y) ** 2 - a**2)
+        assert abs(loss - history[-1]) <= 1e-12 * float(a @ a)
 
 
 def test_reconstruct_complex_validation():
