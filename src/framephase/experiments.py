@@ -3,7 +3,7 @@
 Each harness sweeps a grid of (N, M) cells. Per cell it defines one trial
 (a function of the trial index) and a summary of the trials' outcomes, and
 hands both to ``_cell``, the one trial loop: it times the trials and builds
-the CellResult, or no cell at zero trials. The two real-frame harnesses
+the CellResult, or no cell at zero trials. The three real-frame harnesses
 read their M rules through ``_real_rules``. Per-trial randomness is derived
 from (seed, n, m, salt, trial) entropy, with one salt per kind of trial, so
 cells never share streams and every report is reproducible from (config,
@@ -27,17 +27,17 @@ from .frames import (
     apply_invertible,
     canonical_dual,
     canonical_parseval,
-    encode_vector,
     frame_operator,
     gen_random,
 )
 from .injectivity import (
     VERDICT_NOT_INJECTIVE,
+    certificate_to_dict,
     certify,
     complement_property,
     verify_witness,
 )
-from .linalg import DEFAULT_TOL, Tolerance, null_space, rank
+from .linalg import DEFAULT_TOL, Tolerance
 from .magnitude import magnitude_map, ray_equal
 from .reconstruct import STATUS_HEURISTIC_SUCCESS, reconstruct_complex, reconstruct_real
 
@@ -45,7 +45,6 @@ __all__ = [
     "ExperimentConfig",
     "CellResult",
     "ExperimentReport",
-    "ThinSetWitness",
     "run_real_genericity",
     "run_dense_interior_real",
     "run_complex_genericity",
@@ -85,6 +84,10 @@ class ExperimentConfig:
             raise ValueError(f"m_rule must be one of {_RULE_CHOICES}, got {self.m_rule!r}")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError("restarts and max_iters must be >= 1")
+        if self.transforms < 0 or self.constructed_cases < 0:
+            raise ValueError("transforms and constructed_cases must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -107,22 +110,12 @@ class CellResult:
 
 @dataclass
 class ExperimentReport:
+    """The config, the cells, and the JSON certificates of the ambiguities
+    a harness constructs (only the dense-interior harness has any)."""
+
     config: dict
     cells: list[CellResult]
-
-
-@dataclass
-class ThinSetWitness:
-    """A constructed ambiguity for an M < 2N-1 frame, on the transformed
-    frame (containing the standard basis) and pulled back to the original."""
-
-    subset: tuple[int, ...]
-    x: np.ndarray
-    y: np.ndarray
-    x_original: np.ndarray
-    y_original: np.ndarray
-    seed_entropy: tuple[int, ...]
-    verified: bool
+    witnesses: list[dict] = dataclass_field(default_factory=list)
 
 
 def _trial_rng(*entropy: int) -> np.random.Generator:
@@ -203,108 +196,49 @@ def run_real_genericity(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.to_dict(), cells)
 
 
-def _build_thin_witness(
-    n: int, m: int, entropy: tuple[int, ...], tol: Tolerance
-) -> ThinSetWitness:
-    """Construct an equal-magnitude, distinct-ray pair for a random real
-    frame with N < M < 2N-1.
-
-    The frame is transformed so its first N vectors become the standard
-    basis. For a coordinate subset S of size M-N+1 (at most N-1), a sign
-    flip D on S changes no basis magnitude; making x orthogonal to
-    (I - D) g for every remaining vector g makes the non-basis coefficients
-    agree exactly. x keeps random nonzero entries off S, so x and Dx
-    generate different rays.
-    """
-    rng = _trial_rng(*entropy)
-    size = m - n + 1
-    for _ in range(64):
-        frame = gen_random(REAL, n, m, rng)
-        basis_block = frame.vectors[:n].T
-        if rank(basis_block, tol) < n:
-            continue
-        r = np.linalg.inv(basis_block)
-        transformed = apply_invertible(frame, r, tol)
-        subset = np.sort(rng.choice(n, size=size, replace=False))
-        constraints = transformed.vectors[n:, subset]
-        null = null_space(constraints, tol)
-        if null.shape[1] == 0:
-            continue
-        x = np.zeros(n)
-        x[subset] = null[:, 0]
-        off = np.setdiff1d(np.arange(n), subset)
-        x[off] = rng.standard_normal(off.size)
-        signs = np.ones(n)
-        signs[subset] = -1.0
-        y = signs * x
-        x_orig = r.T @ x
-        y_orig = r.T @ y
-        ok = verify_witness(transformed, x, y, tol) and verify_witness(
-            frame, x_orig, y_orig, tol
-        )
-        if ok:
-            return ThinSetWitness(
-                subset=tuple(int(i) for i in subset),
-                x=x,
-                y=y,
-                x_original=x_orig,
-                y_original=y_orig,
-                seed_entropy=entropy,
-                verified=True,
-            )
-    raise RuntimeError("thin-set construction failed to produce a verified witness")
-
-
-def run_dense_interior_real(
-    n: int,
-    m: int,
-    trials: int,
-    seed: int = 0,
-    constructed_cases: int = 10,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[ExperimentReport, list[ThinSetWitness]]:
+def run_dense_interior_real(cfg: ExperimentConfig) -> ExperimentReport:
     """Unique-recovery rate in the regime N < M < 2N-1, plus constructed
     ambiguities showing the frames are still not injective.
 
     Random signals are recovered uniquely at a rate near one (the
-    ambiguous set is thin), yet for every frame an explicit ambiguous pair
-    exists; ``constructed_cases`` of them are built and verified.
+    ambiguous set is thin), yet no such frame is injective: the two halves
+    of a balanced split each hold at most N-1 vectors, so neither spans.
+    Per cell, ``constructed_cases`` frames get the verified witness of
+    ``certify``; the report keeps their certificates.
     """
-    if not n < m < 2 * n - 1:
-        raise ValueError(f"requires N < M < 2N-1, got N={n}, M={m}")
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
-    witnesses = [
-        _build_thin_witness(n, m, (seed, n, m, 3, case), tol)
-        for case in range(constructed_cases)
-    ]
+    rules = _real_rules(cfg, "run_dense_interior_real")
+    cells: list[CellResult] = []
+    witnesses: list[dict] = []
+    for rule in rules:
+        for n in cfg.n_values:
+            m = M_RULES[rule](n)
+            if not n < m < 2 * n - 1:
+                raise ValueError(f"requires N < M < 2N-1, got N={n}, M={m}")
+            verified = 0
+            for case in range(cfg.constructed_cases):
+                frame = gen_random(REAL, n, m, _trial_rng(cfg.seed, n, m, 3, case))
+                cert = certify(frame, cfg.tol)
+                verified += cert.verdict == VERDICT_NOT_INJECTIVE and verify_witness(
+                    frame, *cert.witness, cfg.tol
+                )
+                witnesses.append(certificate_to_dict(cert, REAL))
 
-    def trial(t: int) -> bool:
-        rng = _trial_rng(seed, n, m, 2, t)
-        frame = gen_random(REAL, n, m, rng)
-        x = rng.standard_normal(n)
-        rays = reconstruct_real(frame, magnitude_map(frame, x), tol).rays
-        return len(rays) == 1 and ray_equal(rays[0], x, tol)
+            def trial(t: int) -> bool:
+                rng = _trial_rng(cfg.seed, n, m, 2, t)
+                frame = gen_random(REAL, n, m, rng)
+                x = rng.standard_normal(n)
+                rays = reconstruct_real(frame, magnitude_map(frame, x), cfg.tol).rays
+                return len(rays) == 1 and ray_equal(rays[0], x, cfg.tol)
 
-    def summarize(unique: list[bool]):
-        verified = sum(1 for w in witnesses if w.verified)
-        extras = {
-            "constructed_cases": float(constructed_cases),
-            "constructed_verified": float(verified),
-        }
-        return None, sum(unique) / trials, extras
+            def summarize(unique: list[bool]):
+                extras = {
+                    "constructed_cases": float(cfg.constructed_cases),
+                    "constructed_verified": float(verified),
+                }
+                return None, sum(unique) / cfg.trials, extras
 
-    config = {
-        "field": REAL,
-        "n_values": [n],
-        "m": m,
-        "trials": trials,
-        "seed": seed,
-        "constructed_cases": constructed_cases,
-        "tol": asdict(tol),
-    }
-    cells = _cell(REAL, n, m, trials, seed, trial, summarize)
-    return ExperimentReport(config, cells), witnesses
+            cells += _cell(REAL, n, m, cfg.trials, cfg.seed, trial, summarize)
+    return ExperimentReport(cfg.to_dict(), cells, witnesses)
 
 
 def run_complex_genericity(cfg: ExperimentConfig) -> ExperimentReport:
@@ -318,6 +252,8 @@ def run_complex_genericity(cfg: ExperimentConfig) -> ExperimentReport:
     """
     if cfg.field != COMPLEX:
         raise ValueError("run_complex_genericity requires field 'complex'")
+    if cfg.m_rule != "all":
+        raise ValueError(f"run_complex_genericity requires m_rule 'all', got {cfg.m_rule!r}")
     if any(n < 2 or n > 3 for n in cfg.n_values):
         raise ValueError("complex study is budgeted for N in {2, 3}")
     loose = Tolerance(cfg.tol.rank_eps, 1e-6)
@@ -458,17 +394,15 @@ def report_to_dict(report: ExperimentReport) -> dict:
     """JSON-ready form. Timing is omitted so written reports are
     byte-identical across reruns with the same config and seed."""
     cells = [{**asdict(c), "mean_ms": None} for c in report.cells]
-    return {"config": report.config, "cells": cells}
+    payload = {"config": report.config, "cells": cells}
+    if report.witnesses:
+        payload["witnesses"] = report.witnesses
+    return payload
 
 
-def write_report_json(
-    report: ExperimentReport, path: str | os.PathLike, extra: dict | None = None
-) -> None:
-    payload = report_to_dict(report)
-    if extra:
-        payload.update(extra)
+def write_report_json(report: ExperimentReport, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(report_to_dict(report), fh, indent=2)
         fh.write("\n")
 
 
@@ -494,9 +428,3 @@ def write_report_csv(report: ExperimentReport, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def thin_witness_to_dict(witness: ThinSetWitness) -> dict:
-    return {
-        key: encode_vector(value, REAL) if isinstance(value, np.ndarray) else value
-        for key, value in asdict(witness).items()
-    }

@@ -32,8 +32,9 @@ class Tolerance:
     def __post_init__(self) -> None:
         if not 0.0 < self.rank_eps < 1.0:
             raise ValueError(f"rank_eps must lie in (0, 1), got {self.rank_eps}")
-        if self.residual_eps <= 0.0:
-            raise ValueError(f"residual_eps must be positive, got {self.residual_eps}")
+        # At residual_eps >= 1 the zero vector fits every measurement.
+        if not 0.0 < self.residual_eps < 1.0:
+            raise ValueError(f"residual_eps must be positive and below 1, got {self.residual_eps}")
 
     def residual_bound(self, *vectors) -> float:
         """Largest accepted residual against the given vectors (or matrices,

@@ -81,6 +81,12 @@ def _row_rank(b, rows, rank_eps):
     return int(np.sum(sv > rank_eps * sv[0]))
 
 
+def spans(vectors, rows, rank_eps=1e-10):
+    """Whether the frame vectors indexed by rows span the space."""
+    vectors = np.asarray(vectors)
+    return _row_rank(vectors, list(rows), rank_eps) == vectors.shape[1]
+
+
 def full_spark(vectors, rank_eps=1e-10):
     """Whether every N of the M frame vectors are linearly independent.
 

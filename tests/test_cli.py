@@ -333,6 +333,18 @@ def test_zero_tolerance_flags_are_rejected(tmp_path):
     assert code == 1 and "rank_eps must lie in (0, 1)" in err
 
 
+def test_reconstruct_rejects_an_infinite_tolerance(tmp_path):
+    # Any residual passes at --tol inf, so the zero ray would come back as
+    # the unique answer; the flag is an error instead.
+    frame, meas = tmp_path / "f.json", tmp_path / "a.json"
+    assert run_cli("gen", "--field", "real", "--n", "3", "--m", "5", "--seed", "1",
+                   "--out", str(frame))[0] == 0
+    assert run_cli("measure", str(frame), "--x=1,2,3", "--out", str(meas))[0] == 0
+    code, out, err = run_cli("reconstruct", str(frame), str(meas), "--tol", "inf")
+    assert code == 1 and out == b""
+    assert "residual_eps must be positive" in err
+
+
 def test_frame_file_without_vectors_is_error(tmp_path):
     frame = tmp_path / "empty.json"
     frame.write_text(json.dumps({"field": "real", "n": 2, "m": 0, "vectors": []}))

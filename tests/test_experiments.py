@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from framephase.frames import COMPLEX, REAL
+from framephase.frames import COMPLEX, REAL, decode_vector, gen_random
 from framephase.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -14,6 +14,10 @@ from framephase.experiments import (
     write_report_csv,
     write_report_json,
 )
+from framephase.injectivity import verify_witness
+from framephase.magnitude import ray_equal
+
+import oracles
 
 
 def test_config_validation():
@@ -25,6 +29,25 @@ def test_config_validation():
         ExperimentConfig(REAL, (2,), "3n", 1)
     with pytest.raises(ValueError):
         ExperimentConfig(REAL, (2,), "2n-1", -1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExperimentConfig(COMPLEX, (2,), "all", 1, restarts=0),
+        lambda: ExperimentConfig(COMPLEX, (2,), "all", 1, max_iters=0),
+        lambda: ExperimentConfig(REAL, (3,), "both", 1, transforms=-4),
+        lambda: ExperimentConfig(REAL, (3,), "2n-2", 1, constructed_cases=-1),
+        # The complex study has its own fixed M grid; no other rule applies.
+        lambda: run_complex_genericity(ExperimentConfig(COMPLEX, (2,), "2n-2", 1)),
+        lambda: run_complex_genericity(ExperimentConfig(COMPLEX, (2,), "both", 1)),
+    ],
+    ids=["restarts", "max_iters", "transforms", "constructed_cases", "complex-2n-2",
+         "complex-both"],
+)
+def test_inputs_a_harness_would_ignore_or_misreport_are_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_real_genericity_rates():
@@ -50,9 +73,11 @@ def test_real_genericity_zero_trials_is_empty():
 def test_zero_trials_is_empty(harness):
     # The real-genericity harness is covered by the test above.
     if harness == "dense-interior":
-        report, witnesses = run_dense_interior_real(3, 4, trials=0, constructed_cases=2)
+        cfg = ExperimentConfig(REAL, (3,), "2n-2", trials=0, constructed_cases=2)
+        report = run_dense_interior_real(cfg)
         # No cell, but the constructed ambiguities do not depend on trials.
-        assert len(witnesses) == 2 and all(w.verified for w in witnesses)
+        assert len(report.witnesses) == 2
+        assert all(w["verdict"] == "not_injective" and w["witness"] for w in report.witnesses)
     elif harness == "complex":
         report = run_complex_genericity(ExperimentConfig(COMPLEX, (2, 3), "all", trials=0))
     else:
@@ -78,32 +103,31 @@ def test_real_genericity_deterministic():
 
 
 def test_dense_interior_preconditions():
-    with pytest.raises(ValueError):
-        run_dense_interior_real(3, 5, trials=1)  # M = 2N-1 is out of range
-    with pytest.raises(ValueError):
-        run_dense_interior_real(3, 3, trials=1)  # M = N is out of range
+    with pytest.raises(ValueError):  # M = 2N-1 is out of range
+        run_dense_interior_real(ExperimentConfig(REAL, (3,), "2n-1", 1))
+    with pytest.raises(ValueError):  # M = N is out of range
+        run_dense_interior_real(ExperimentConfig(REAL, (2,), "2n-2", 1))
     with pytest.raises(ValueError, match="trials must be >= 0"):
-        run_dense_interior_real(3, 4, trials=-5)
+        run_dense_interior_real(ExperimentConfig(REAL, (3,), "2n-2", -5))
 
 
 def test_dense_interior_run():
-    report, witnesses = run_dense_interior_real(3, 4, trials=20, seed=1, constructed_cases=4)
+    cfg = ExperimentConfig(REAL, (3,), "2n-2", trials=20, seed=1, constructed_cases=4)
+    report = run_dense_interior_real(cfg)
     cell = report.cells[0]
     assert cell.rec_rate >= 0.9
     assert cell.extras["constructed_verified"] == 4.0
-    assert len(witnesses) == 4
-    for w in witnesses:
-        assert w.verified
-        size = len(w.subset)
-        assert 4 - 3 + 1 <= size <= 3 - 1
-        subset = list(w.subset)
-        off = [i for i in range(3) if i not in subset]
-        # y is the subset sign flip of x, and both parts of x are nonzero
-        # (otherwise the pair would collapse onto a single ray).
-        np.testing.assert_allclose(w.y[subset], -w.x[subset], atol=1e-12)
-        np.testing.assert_allclose(w.y[off], w.x[off], atol=1e-12)
-        assert np.linalg.norm(w.x[subset]) > 1e-8
-        assert np.linalg.norm(w.x[off]) > 1e-8
+    assert len(report.witnesses) == 4
+    for case, w in enumerate(report.witnesses):
+        frame = gen_random(REAL, 3, 4, np.random.default_rng([1, 3, 4, 3, case]))
+        x, y = (decode_vector(w["witness"][k], REAL) for k in ("x", "y"))
+        assert verify_witness(frame, x, y)
+        assert not ray_equal(x, y)
+        # Neither side of the failing split spans, by an independent rank.
+        subset = w["failing_subset"]
+        rest = [i for i in range(4) if i not in subset]
+        assert not oracles.spans(frame.vectors, subset)
+        assert not oracles.spans(frame.vectors, rest)
 
 
 def test_complex_genericity_run():
@@ -169,8 +193,16 @@ def test_json_report_omits_timing(tmp_path):
     cfg = ExperimentConfig(REAL, (2,), "2n-1", trials=2, seed=1)
     report = run_real_genericity(cfg)
     path = tmp_path / "report.json"
-    write_report_json(report, path, extra={"note": 1})
+    write_report_json(report, path)
     data = json.loads(path.read_text())
-    assert data["note"] == 1
+    assert "witnesses" not in data
     assert data["config"]["seed"] == 1
+    assert all(cell["mean_ms"] is None for cell in data["cells"])
+    # A report that carries witnesses writes them after the cells.
+    cfg = ExperimentConfig(REAL, (3,), "2n-2", trials=2, seed=1, constructed_cases=2)
+    report = run_dense_interior_real(cfg)
+    write_report_json(report, path)
+    data = json.loads(path.read_text())
+    assert list(data) == ["config", "cells", "witnesses"]
+    assert data["witnesses"] == report.witnesses
     assert all(cell["mean_ms"] is None for cell in data["cells"])

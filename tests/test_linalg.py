@@ -23,6 +23,10 @@ def test_tolerance_defaults_and_validation():
         Tolerance(residual_eps=-1e-8)
     with pytest.raises(ValueError):
         Tolerance(rank_eps=2.0)
+    # At residual_eps >= 1 the zero vector would fit every measurement.
+    for eps in (float("nan"), float("inf"), 1.0, 1e300):
+        with pytest.raises(ValueError, match="residual_eps must be positive"):
+            Tolerance(residual_eps=eps)
 
 
 def test_residual_bound_scales_with_the_largest_norm():

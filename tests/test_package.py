@@ -14,7 +14,7 @@ UNEXPORTED = {
     "linalg": ("LeastSquares", "rank", "null_space", "column_space", "least_squares"),
     "frames": ("encode_vector", "decode_vector"),
     "magnitude": ("MAGNITUDE_KEYS",),
-    "experiments": ("M_RULES", "CSV_HEADER", "report_to_dict", "thin_witness_to_dict"),
+    "experiments": ("M_RULES", "CSV_HEADER", "report_to_dict"),
 }
 
 
