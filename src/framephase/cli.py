@@ -240,15 +240,15 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-# Preset name: (harness, field, n_values, m_rule, default trials). The
-# harness is named and looked up in experiments when the preset runs, so
-# a replaced module attribute (a wrapper, a test double) is the one called.
+# Preset name: (harness, n_values, m_rule, default trials). The harness
+# is named and looked up in experiments when the preset runs, so a
+# replaced module attribute (a wrapper, a test double) is the one called.
 PRESETS = {
-    "real-genericity": ("run_real_genericity", REAL, (2, 3, 4, 5), "2n-1", 100),
-    "sharpness": ("run_real_genericity", REAL, (2, 3, 4, 5), "2n-2", 100),
-    "dense-interior": ("run_dense_interior_real", REAL, (3,), "2n-2", 500),
-    "complex": ("run_complex_genericity", COMPLEX, (2, 3), "all", 200),
-    "equivalence": ("run_equivalence_invariance", REAL, (3,), "both", 50),
+    "real-genericity": ("run_real_genericity", (2, 3, 4, 5), "2n-1", 100),
+    "sharpness": ("run_real_genericity", (2, 3, 4, 5), "2n-2", 100),
+    "dense-interior": ("run_dense_interior_real", (3,), "2n-2", 500),
+    "complex": ("run_complex_genericity", (2, 3), "all", 200),
+    "equivalence": ("run_equivalence_invariance", (3,), "both", 50),
 }
 
 
@@ -271,10 +271,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ValueError(
             f"unknown preset {args.preset!r}; choose from {', '.join(PRESETS)}"
         )
-    harness, field, n_values, m_rule, trials = PRESETS[args.preset]
+    harness, n_values, m_rule, trials = PRESETS[args.preset]
     if args.trials is not None:
         trials = args.trials
-    cfg = xp.ExperimentConfig(field, n_values, m_rule, trials, args.seed)
+    cfg = xp.ExperimentConfig(n_values, m_rule, trials, args.seed)
     started = time.perf_counter()
     report = getattr(xp, harness)(cfg)
     elapsed = time.perf_counter() - started

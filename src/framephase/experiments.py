@@ -1,14 +1,16 @@
 """Monte-Carlo experiment harnesses over random frames.
 
-Each harness sweeps a grid of (N, M) cells. Per cell it defines one trial
-(a function of the trial index) and a summary of the trials' outcomes, and
-hands both to ``_cell``, the one trial loop: it times the trials and builds
-the CellResult, or no cell at zero trials. The three real-frame harnesses
-read their M rules through ``_real_rules``. Per-trial randomness is derived
-from (seed, n, m, salt, trial) entropy, with one salt per kind of trial, so
-cells never share streams and every report is reproducible from (config,
-seed). Measured timings live only in the in-memory report; report files
-omit them so identical runs produce identical bytes.
+Each harness sweeps the (N, M) cells of ``_grid``: for each N of the
+config in turn, the Ms that its rule in ``M_RULES`` gives. Per cell it
+defines one trial (a function of the trial index) and a summary of the
+trials' outcomes, and hands both to ``_cell``, the one trial loop: it
+times the trials and builds the CellResult, or no cell at zero trials.
+The config holds only the grid, the trial count and the seed; each
+harness fixes its own field, tolerances and budgets. Per-trial randomness
+is derived from (seed, n, m, salt, trial) entropy, with one salt per kind
+of trial, so cells never share streams and every report is reproducible
+from (config, seed). Measured timings live only in the in-memory report;
+report files omit them so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from .injectivity import (
     VERDICT_NOT_INJECTIVE,
     certificate_to_dict,
     certify,
-    complement_property,
     verify_witness,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import Tolerance
 from .magnitude import magnitude_map, ray_equal
 from .reconstruct import STATUS_HEURISTIC_SUCCESS, reconstruct_complex, reconstruct_real
 
@@ -53,41 +54,37 @@ __all__ = [
     "write_report_csv",
 ]
 
+# The Ms of one N under each rule, in grid order.
 M_RULES = {
-    "2n-1": lambda n: 2 * n - 1,
-    "2n-2": lambda n: 2 * n - 2,
+    "2n-1": lambda n: (2 * n - 1,),
+    "2n-2": lambda n: (2 * n - 2,),
+    "both": lambda n: (2 * n - 1, 2 * n - 2),
+    "all": lambda n: (2 * n - 1, 2 * n, 4 * n - 2),
 }
-_RULE_CHOICES = tuple(M_RULES) + ("both", "all")
+
+# Frames per dense-interior cell that get certify's witness.
+_CONSTRUCTED_CASES = 10
+# Invertible transforms per equivalence-invariance trial.
+_TRANSFORMS = 5
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid description shared by all experiment harnesses."""
+    """Grid description shared by all experiment harnesses: the Ns, the
+    name of their M rule in M_RULES, the trials per cell and the seed."""
 
-    field: str
     n_values: tuple[int, ...]
     m_rule: str
     trials: int
     seed: int = 0
-    restarts: int = 20
-    max_iters: int = 500
-    transforms: int = 5
-    constructed_cases: int = 10
-    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        if self.field not in (REAL, COMPLEX):
-            raise ValueError(f"unknown field {self.field!r}")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("n_values must be a nonempty tuple of positive ints")
-        if self.m_rule not in _RULE_CHOICES:
-            raise ValueError(f"m_rule must be one of {_RULE_CHOICES}, got {self.m_rule!r}")
+        if self.m_rule not in M_RULES:
+            raise ValueError(f"m_rule must be one of {tuple(M_RULES)}, got {self.m_rule!r}")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be >= 1")
-        if self.transforms < 0 or self.constructed_cases < 0:
-            raise ValueError("transforms and constructed_cases must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -150,49 +147,41 @@ def _cell(
     return [CellResult(field, n, m, trials, inj_rate, rec_rate, mean_ms, seed, extras)]
 
 
-def _real_rules(cfg: ExperimentConfig, harness: str) -> tuple[str, ...]:
-    """The M rules of a real-frame harness: '2n-1', '2n-2', or both."""
-    if cfg.field != REAL:
-        raise ValueError(f"{harness} requires field 'real'")
-    if cfg.m_rule == "both":
-        return ("2n-1", "2n-2")
-    if cfg.m_rule in ("2n-1", "2n-2"):
-        return (cfg.m_rule,)
-    raise ValueError(f"m_rule must be '2n-1', '2n-2', or 'both', got {cfg.m_rule!r}")
+def _grid(cfg: ExperimentConfig) -> list[tuple[int, int]]:
+    """The (N, M) cells of cfg: each N in turn with the Ms of its rule."""
+    return [(n, m) for n in cfg.n_values for m in M_RULES[cfg.m_rule](n)]
 
 
 def run_real_genericity(cfg: ExperimentConfig) -> ExperimentReport:
-    """Injectivity rates for random real frames at M = 2N-1 and/or 2N-2.
+    """Injectivity rates for random real frames (the presets' M = 2N-1
+    and 2N-2).
 
-    At M = 2N-1 a random frame is injective with probability one; at
-    M = 2N-2 no frame is injective and every NotInjective verdict is
+    From M = 2N-1 on a random frame is injective with probability one;
+    below it no frame is injective and every NotInjective verdict is
     re-verified through its witness (a verification failure raises, it is
     a bug rather than a data point).
     """
-    rules = _real_rules(cfg, "run_real_genericity")
     cells: list[CellResult] = []
-    for rule in rules:
-        for n in cfg.n_values:
-            m = M_RULES[rule](n)
-            if m < n:
-                raise ValueError(f"rule {rule} needs larger N, got N={n}")
+    for n, m in _grid(cfg):
+        if m < n:
+            raise ValueError(f"rule {cfg.m_rule} needs larger N, got N={n}")
 
-            def trial(t: int) -> bool:
-                frame = gen_random(REAL, n, m, _trial_rng(cfg.seed, n, m, 1, t))
-                cert = complement_property(frame, cfg.tol)
-                if cert.verdict != VERDICT_NOT_INJECTIVE:
-                    return True
-                if not verify_witness(frame, *cert.witness, cfg.tol):
-                    raise RuntimeError("claimed NotInjective witness failed to verify")
-                return False
+        def trial(t: int) -> bool:
+            frame = gen_random(REAL, n, m, _trial_rng(cfg.seed, n, m, 1, t))
+            cert = certify(frame)
+            if cert.verdict != VERDICT_NOT_INJECTIVE:
+                return True
+            if not verify_witness(frame, *cert.witness):
+                raise RuntimeError("claimed NotInjective witness failed to verify")
+            return False
 
-            def summarize(injective: list[bool]):
-                extras = {}
-                if rule == "2n-2":
-                    extras["not_injective_verified_rate"] = injective.count(False) / cfg.trials
-                return sum(injective) / cfg.trials, None, extras
+        def summarize(injective: list[bool]):
+            extras = {}
+            if m < 2 * n - 1:
+                extras["not_injective_verified_rate"] = injective.count(False) / cfg.trials
+            return sum(injective) / cfg.trials, None, extras
 
-            cells += _cell(REAL, n, m, cfg.trials, cfg.seed, trial, summarize)
+        cells += _cell(REAL, n, m, cfg.trials, cfg.seed, trial, summarize)
     return ExperimentReport(cfg.to_dict(), cells)
 
 
@@ -203,97 +192,81 @@ def run_dense_interior_real(cfg: ExperimentConfig) -> ExperimentReport:
     Random signals are recovered uniquely at a rate near one (the
     ambiguous set is thin), yet no such frame is injective: the two halves
     of a balanced split each hold at most N-1 vectors, so neither spans.
-    Per cell, ``constructed_cases`` frames get the verified witness of
+    Per cell, _CONSTRUCTED_CASES frames get the verified witness of
     ``certify``; the report keeps their certificates.
     """
-    rules = _real_rules(cfg, "run_dense_interior_real")
     cells: list[CellResult] = []
     witnesses: list[dict] = []
-    for rule in rules:
-        for n in cfg.n_values:
-            m = M_RULES[rule](n)
-            if not n < m < 2 * n - 1:
-                raise ValueError(f"requires N < M < 2N-1, got N={n}, M={m}")
-            verified = 0
-            for case in range(cfg.constructed_cases):
-                frame = gen_random(REAL, n, m, _trial_rng(cfg.seed, n, m, 3, case))
-                cert = certify(frame, cfg.tol)
-                verified += cert.verdict == VERDICT_NOT_INJECTIVE and verify_witness(
-                    frame, *cert.witness, cfg.tol
-                )
-                witnesses.append(certificate_to_dict(cert, REAL))
+    for n, m in _grid(cfg):
+        if not n < m < 2 * n - 1:
+            raise ValueError(f"requires N < M < 2N-1, got N={n}, M={m}")
+        verified = 0
+        for case in range(_CONSTRUCTED_CASES):
+            frame = gen_random(REAL, n, m, _trial_rng(cfg.seed, n, m, 3, case))
+            cert = certify(frame)
+            verified += cert.verdict == VERDICT_NOT_INJECTIVE and verify_witness(
+                frame, *cert.witness
+            )
+            witnesses.append(certificate_to_dict(cert, REAL))
 
-            def trial(t: int) -> bool:
-                rng = _trial_rng(cfg.seed, n, m, 2, t)
-                frame = gen_random(REAL, n, m, rng)
-                x = rng.standard_normal(n)
-                rays = reconstruct_real(frame, magnitude_map(frame, x), cfg.tol).rays
-                return len(rays) == 1 and ray_equal(rays[0], x, cfg.tol)
+        def trial(t: int) -> bool:
+            rng = _trial_rng(cfg.seed, n, m, 2, t)
+            frame = gen_random(REAL, n, m, rng)
+            x = rng.standard_normal(n)
+            rays = reconstruct_real(frame, magnitude_map(frame, x)).rays
+            return len(rays) == 1 and ray_equal(rays[0], x)
 
-            def summarize(unique: list[bool]):
-                extras = {
-                    "constructed_cases": float(cfg.constructed_cases),
-                    "constructed_verified": float(verified),
-                }
-                return None, sum(unique) / cfg.trials, extras
+        def summarize(unique: list[bool]):
+            extras = {
+                "constructed_cases": float(_CONSTRUCTED_CASES),
+                "constructed_verified": float(verified),
+            }
+            return None, sum(unique) / cfg.trials, extras
 
-            cells += _cell(REAL, n, m, cfg.trials, cfg.seed, trial, summarize)
+        cells += _cell(REAL, n, m, cfg.trials, cfg.seed, trial, summarize)
     return ExperimentReport(cfg.to_dict(), cells, witnesses)
 
 
 def run_complex_genericity(cfg: ExperimentConfig) -> ExperimentReport:
-    """Complex-frame study: size obstruction at M = 2N-1, heuristic
-    recovery at M = 2N (minimal possible) and M = 4N-2 (generic regime).
+    """Complex-frame study: size obstruction below M = 2N, heuristic
+    recovery from M = 2N on (rule 'all': 2N-1, then M = 2N, the minimal
+    possible, and M = 4N-2, the generic regime).
 
     Recovery rates are heuristic evidence only; a success counts only if
     the recovered ray matches the planted signal and reproduces the
     measurements within 1e-6 ||a||. The 2N <= M < 4N-2 band is not certified
     injective by this toolkit (verdicts there are NecessaryConditionsPass).
     """
-    if cfg.field != COMPLEX:
-        raise ValueError("run_complex_genericity requires field 'complex'")
-    if cfg.m_rule != "all":
-        raise ValueError(f"run_complex_genericity requires m_rule 'all', got {cfg.m_rule!r}")
     if any(n < 2 or n > 3 for n in cfg.n_values):
         raise ValueError("complex study is budgeted for N in {2, 3}")
-    loose = Tolerance(cfg.tol.rank_eps, 1e-6)
+    loose = Tolerance(residual_eps=1e-6)
     cells: list[CellResult] = []
-    for n in cfg.n_values:
-        # Size obstruction cell: M = 2N-1 < 2N is never injective.
-        m = 2 * n - 1
-        size_fail = m < 2 * n
+    for n, m in _grid(cfg):
+        if m < 2 * n:
+            # Fewer than 2N measurements are never injective.
 
-        def obstruction(t: int) -> bool:
-            frame = gen_random(COMPLEX, n, m, _trial_rng(cfg.seed, n, m, 4, t))
-            cert = certify(frame, cfg.tol)
-            return cert.verdict == VERDICT_NOT_INJECTIVE and verify_witness(
-                frame, *cert.witness, cfg.tol
-            )
+            def trial(t: int) -> bool:
+                frame = gen_random(COMPLEX, n, m, _trial_rng(cfg.seed, n, m, 4, t))
+                cert = certify(frame)
+                return cert.verdict == VERDICT_NOT_INJECTIVE and verify_witness(
+                    frame, *cert.witness
+                )
 
-        def summarize_obstruction(verified: list[bool]):
-            extras = {
-                "size_check_fail_rate": float(size_fail),
-                "witness_verified_rate": sum(verified) / cfg.trials,
-            }
-            return 0.0 if size_fail else None, None, extras
+            def summarize(verified: list[bool]):
+                extras = {
+                    "size_check_fail_rate": 1.0,
+                    "witness_verified_rate": sum(verified) / cfg.trials,
+                }
+                return 0.0, None, extras
 
-        cells += _cell(COMPLEX, n, m, cfg.trials, cfg.seed, obstruction, summarize_obstruction)
-        # Heuristic recovery cells.
-        for m in (2 * n, 4 * n - 2):
+        else:
 
-            def recovery(t: int) -> bool:
+            def trial(t: int) -> bool:
                 rng = _trial_rng(cfg.seed, n, m, 5, t)
                 frame = gen_random(COMPLEX, n, m, rng)
                 x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 a = magnitude_map(frame, x)
-                result = reconstruct_complex(
-                    frame,
-                    a,
-                    restarts=cfg.restarts,
-                    max_iters=cfg.max_iters,
-                    seed=_derived_seed(cfg.seed, n, m, 6, t),
-                    tol=cfg.tol,
-                )
+                result = reconstruct_complex(frame, a, seed=_derived_seed(cfg.seed, n, m, 6, t))
                 if result.status != STATUS_HEURISTIC_SUCCESS:
                     return False
                 ray = result.rays[0]
@@ -301,10 +274,10 @@ def run_complex_genericity(cfg: ExperimentConfig) -> ExperimentReport:
                     np.linalg.norm(magnitude_map(frame, ray) - a)
                 ) <= loose.residual_bound(a)
 
-            def summarize_recovery(successes: list[bool]):
+            def summarize(successes: list[bool]):
                 return None, sum(successes) / cfg.trials, {"regime": float(m >= 4 * n - 2)}
 
-            cells += _cell(COMPLEX, n, m, cfg.trials, cfg.seed, recovery, summarize_recovery)
+        cells += _cell(COMPLEX, n, m, cfg.trials, cfg.seed, trial, summarize)
     return ExperimentReport(cfg.to_dict(), cells)
 
 
@@ -333,53 +306,50 @@ def run_equivalence_invariance(cfg: ExperimentConfig) -> ExperimentReport:
     transformed frame. Parseval outputs are additionally checked to have a
     frame operator within 1e-8 of the identity.
     """
-    rules = _real_rules(cfg, "run_equivalence_invariance")
     cells: list[CellResult] = []
-    for rule in rules:
-        for n in cfg.n_values:
-            m = M_RULES[rule](n)
+    for n, m in _grid(cfg):
 
-            def trial(t: int) -> tuple[bool, bool, float, int, int]:
-                rng = _trial_rng(cfg.seed, n, m, 7, t)
-                frame = gen_random(REAL, n, m, rng)
-                base = complement_property(frame, cfg.tol)
-                all_match = True
-                witness_checked = 0
-                witness_ok = 0
-                for _ in range(cfg.transforms):
-                    r = _well_conditioned_invertible(rng, n)
-                    moved = apply_invertible(frame, r, cfg.tol)
-                    if complement_property(moved, cfg.tol).verdict != base.verdict:
-                        all_match = False
-                    if base.verdict == VERDICT_NOT_INJECTIVE:
-                        witness_checked += 1
-                        x, y = base.witness
-                        x_moved = np.linalg.solve(r.T, x)
-                        y_moved = np.linalg.solve(r.T, y)
-                        if verify_witness(moved, x_moved, y_moved, cfg.tol):
-                            witness_ok += 1
-                dual = canonical_dual(frame, cfg.tol)
-                if complement_property(dual, cfg.tol).verdict != base.verdict:
+        def trial(t: int) -> tuple[bool, bool, float, int, int]:
+            rng = _trial_rng(cfg.seed, n, m, 7, t)
+            frame = gen_random(REAL, n, m, rng)
+            base = certify(frame)
+            all_match = True
+            witness_checked = 0
+            witness_ok = 0
+            for _ in range(_TRANSFORMS):
+                r = _well_conditioned_invertible(rng, n)
+                moved = apply_invertible(frame, r)
+                if certify(moved).verdict != base.verdict:
                     all_match = False
-                parseval = canonical_parseval(frame, cfg.tol)
-                if complement_property(parseval, cfg.tol).verdict != base.verdict:
-                    all_match = False
-                s_p, _ = frame_operator(parseval, cfg.tol)
-                dev = float(np.linalg.norm(s_p - np.eye(n)))
-                injective = base.verdict != VERDICT_NOT_INJECTIVE
-                return injective, all_match, dev, witness_checked, witness_ok
+                if base.verdict == VERDICT_NOT_INJECTIVE:
+                    witness_checked += 1
+                    x, y = base.witness
+                    x_moved = np.linalg.solve(r.T, x)
+                    y_moved = np.linalg.solve(r.T, y)
+                    if verify_witness(moved, x_moved, y_moved):
+                        witness_ok += 1
+            dual = canonical_dual(frame)
+            if certify(dual).verdict != base.verdict:
+                all_match = False
+            parseval = canonical_parseval(frame)
+            if certify(parseval).verdict != base.verdict:
+                all_match = False
+            s_p, _ = frame_operator(parseval)
+            dev = float(np.linalg.norm(s_p - np.eye(n)))
+            injective = base.verdict != VERDICT_NOT_INJECTIVE
+            return injective, all_match, dev, witness_checked, witness_ok
 
-            def summarize(outcomes: list[tuple[bool, bool, float, int, int]]):
-                injective, agree, devs, checked, ok = zip(*outcomes)
-                extras = {
-                    "agreement_rate": sum(agree) / cfg.trials,
-                    "parseval_max_identity_dev": max(0.0, *devs),
-                }
-                if sum(checked):
-                    extras["witness_transform_ok_rate"] = sum(ok) / sum(checked)
-                return sum(injective) / cfg.trials, None, extras
+        def summarize(outcomes: list[tuple[bool, bool, float, int, int]]):
+            injective, agree, devs, checked, ok = zip(*outcomes)
+            extras = {
+                "agreement_rate": sum(agree) / cfg.trials,
+                "parseval_max_identity_dev": max(0.0, *devs),
+            }
+            if sum(checked):
+                extras["witness_transform_ok_rate"] = sum(ok) / sum(checked)
+            return sum(injective) / cfg.trials, None, extras
 
-            cells += _cell(REAL, n, m, cfg.trials, cfg.seed, trial, summarize)
+        cells += _cell(REAL, n, m, cfg.trials, cfg.seed, trial, summarize)
     return ExperimentReport(cfg.to_dict(), cells)
 
 

@@ -93,7 +93,9 @@ class ReconstructionResult:
 
 class SearchBudgetExceeded(RuntimeError):
     """Raised when the sign search would need more nodes or leaf patterns
-    than allowed; carries the partial result found so far."""
+    than allowed. Both checks come before any leaf is solved, so
+    ``partial`` is an empty no_solution result whose patterns_explored is
+    the block's node count."""
 
     def __init__(self, message: str, partial: ReconstructionResult):
         super().__init__(message)
@@ -204,9 +206,9 @@ def reconstruct_real(
     exhaustive search.
     Statuses: Unique (one ray), Ambiguous (several), NoSolution
     (measurements inconsistent with the frame). Raises SearchBudgetExceeded
-    (with partial findings) if the block's sign tree, 2^(k+1) - 1 nodes,
-    or the number of full patterns left for the leaf test exceeds
-    _NODE_BUDGET.
+    if the block's sign tree, 2^(k+1) - 1 nodes, or the number of full
+    patterns left for the leaf test exceeds _NODE_BUDGET; both checks come
+    before any leaf solve, so its partial result holds no rays.
     """
     if frame.field != REAL:
         raise ValueError("reconstruct_real requires a real frame")

@@ -19,14 +19,13 @@ UNEXPORTED = {
 
 
 # The only reads of a Tolerance field outside linalg.py, by (module,
-# enclosing function): the Gram screen's theta, the CLI flag defaults and
-# the Tolerance built from them, and the complex preset's loose tolerance.
-# Every other threshold comes from a Tolerance method.
+# enclosing function): the Gram screen's theta, and the CLI flag defaults
+# and the Tolerance built from them. Every other threshold comes from a
+# Tolerance method.
 TOLERANCE_FIELD_READS = {
     ("injectivity", "complement_property"),
     ("cli", "_add_tol_flags"),
     ("cli", "_tolerance"),
-    ("experiments", "run_complex_genericity"),
 }
 
 
