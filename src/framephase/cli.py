@@ -18,7 +18,6 @@ Exit codes
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -29,6 +28,7 @@ import numpy as np
 from .frames import (
     COMPLEX,
     REAL,
+    _write_json,
     frame_operator,
     gen_full_spark,
     gen_random,
@@ -42,7 +42,7 @@ from .injectivity import (
     certificate_to_dict,
     certify,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, _norm
 from .magnitude import load_measurement, magnitude_map, save_measurement
 from .reconstruct import (
     STATUS_AMBIGUOUS,
@@ -59,11 +59,6 @@ THREADS_ENV = "FRAMEPHASE_THREADS"
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _emit_json(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
 
 
 def _check_threads_env() -> int | None:
@@ -150,7 +145,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     frame = load_frame(args.frame)
     tol = _tolerance(args)
     cert = certify(frame, tol)
-    _emit_json(certificate_to_dict(cert, frame.field))
+    _write_json(certificate_to_dict(cert, frame.field), sys.stdout)
     # A not_injective certificate without a failing subset comes from the
     # pivots of a complex M = 2N-1 frame, so its count is of pivots.
     if cert.verdict == VERDICT_NOT_INJECTIVE and cert.failing_subset is None:
@@ -206,7 +201,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             tol=tol,
         )
     elapsed = time.perf_counter() - started
-    _emit_json(result_to_dict(result, frame.field))
+    _write_json(result_to_dict(result, frame.field), sys.stdout)
     if frame.field == REAL:
         work = f"{result.patterns_explored} sign-tree node(s)"
     else:
@@ -231,11 +226,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
         return 2
     payload = certificate_to_dict(cert, frame.field)
     x, y = cert.witness
-    mismatch = float(
-        np.linalg.norm(magnitude_map(frame, x) - magnitude_map(frame, y))
-    )
+    mismatch = _norm(magnitude_map(frame, x) - magnitude_map(frame, y))
     payload["magnitude_mismatch"] = mismatch
-    _emit_json(payload)
+    _write_json(payload, sys.stdout)
     _info(f"witness magnitudes agree to {mismatch:.3e}")
     return 0
 

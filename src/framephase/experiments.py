@@ -15,7 +15,6 @@ report files omit them so identical runs produce identical bytes.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import asdict, dataclass, field as dataclass_field
@@ -26,6 +25,7 @@ import numpy as np
 from .frames import (
     COMPLEX,
     REAL,
+    _write_json,
     apply_invertible,
     canonical_dual,
     canonical_parseval,
@@ -371,9 +371,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def write_report_json(report: ExperimentReport, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
+    _write_json(report_to_dict(report), path)
 
 
 def write_report_csv(report: ExperimentReport, path: str | os.PathLike) -> None:

@@ -5,7 +5,9 @@ as the rows of an (M, N) array. The analysis map sends x to its coefficient
 vector (<x, f_i>)_i with the inner product <x, y> = sum_k x_k * conj(y_k);
 the synthesis map is its adjoint. Magnitude-only identifiability questions
 live entirely inside the coefficient range W = T(H), the column space of
-the analysis matrix.
+the analysis matrix. Every operator of an existing frame (its frame bounds,
+canonical dual and Parseval frames, and an orthonormal basis of W) comes
+from _analysis_svd, the one thin SVD of T and its rank-N check.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, _numerical_rank, column_space, rank
+from .linalg import DEFAULT_TOL, Tolerance, _numerical_rank, null_space, rank
 
 __all__ = [
     "REAL",
@@ -119,50 +121,50 @@ def analysis(frame: Frame, x) -> np.ndarray:
     return analysis_matrix(frame) @ x
 
 
-def _analysis_svd(frame: Frame, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (U, sigma, V*) of T, rejecting rank below N at tol as Frame does."""
+def _analysis_svd(
+    frame: Frame, tol: Tolerance = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (U, sigma, V*) of T, rejecting rank below N at tol as Frame
+    does: the one factorization of an existing frame's analysis matrix."""
     u, sv, vh = np.linalg.svd(analysis_matrix(frame), full_matrices=False)
     if _numerical_rank(sv, tol) < frame.n:
         raise ValueError("frame operator is numerically singular; not a frame")
     return u, sv, vh
 
 
-def frame_operator(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, FrameBounds]:
+def frame_operator(frame: Frame) -> tuple[np.ndarray, FrameBounds]:
     """The operator S = T* T together with its optimal frame bounds, the
     extreme eigenvalues of S, taken as the squared singular values of T."""
-    _, sv, _ = _analysis_svd(frame, tol)
+    _, sv, _ = _analysis_svd(frame)
     t = analysis_matrix(frame)
     return t.conj().T @ t, FrameBounds(lower=float(sv[-1] ** 2), upper=float(sv[0] ** 2))
 
 
-def canonical_dual(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
+def canonical_dual(frame: Frame) -> Frame:
     """The canonical dual frame {S^-1 f_i}.
 
     Analysis against the dual followed by synthesis against the original
     frame (and vice versa) reconstructs every x exactly. With T = U sigma V*,
     S^-1 f_i is row i of conj(U sigma^-1 V*), as well conditioned as T.
     """
-    u, sv, vh = _analysis_svd(frame, tol)
+    u, sv, vh = _analysis_svd(frame)
     return Frame(frame.field, np.conj((u / sv) @ vh))
 
 
-def canonical_parseval(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
+def canonical_parseval(frame: Frame) -> Frame:
     """The canonical Parseval frame {S^-1/2 f_i}, the rows of conj(U V*);
     its frame operator is I."""
-    u, _, vh = _analysis_svd(frame, tol)
+    u, _, vh = _analysis_svd(frame)
     return Frame(frame.field, np.conj(u @ vh))
 
 
 def coefficient_range(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns, shape (M, N)) of W = range(T), an
-    N-dimensional subspace of C^M."""
-    basis = column_space(analysis_matrix(frame), tol)
-    if basis.shape[1] != frame.n:
-        raise ValueError("analysis matrix lost rank; not a frame")
-    return basis
+    N-dimensional subspace of C^M: the U of _analysis_svd at tol."""
+    return _analysis_svd(frame, tol)[0]
 
 
-def apply_invertible(frame: Frame, r, tol: Tolerance = DEFAULT_TOL) -> Frame:
+def apply_invertible(frame: Frame, r) -> Frame:
     """The frame {R f_i} for an invertible N x N matrix R.
 
     Magnitude-only identifiability is preserved under this transformation:
@@ -175,7 +177,7 @@ def apply_invertible(frame: Frame, r, tol: Tolerance = DEFAULT_TOL) -> Frame:
         raise ValueError(f"transform must be {frame.n} x {frame.n}, got {r.shape}")
     if frame.field == REAL and np.iscomplexobj(r):
         raise ValueError("real frame cannot be transformed by a complex matrix")
-    if rank(r, tol) < frame.n:
+    if rank(r) < frame.n:
         raise ValueError("transform is numerically singular")
     return Frame(frame.field, (r @ frame.vectors.T).T)
 
@@ -228,9 +230,8 @@ def gen_full_spark(field: str, n: int, m: int, seed=0) -> Frame:
             for subset in itertools.combinations(range(len(chosen)), n - 1):
                 if not subset:
                     continue
-                basis = column_space(np.stack([chosen[i] for i in subset]).T)
-                resid = cand - basis @ (basis.conj().T @ cand)
-                if np.linalg.norm(resid) <= _MIN_GAP:
+                normals = null_space(np.conj(np.stack([chosen[i] for i in subset])))
+                if np.linalg.norm(normals.conj().T @ cand) <= _MIN_GAP:
                     ok = False
                     break
             if ok:
@@ -373,11 +374,22 @@ def frame_from_dict(data: dict) -> Frame:
     return Frame(field, vectors)
 
 
+def _write_json(payload, target) -> None:
+    """Write payload as one strict JSON document, indented by 2 and ending in
+    a newline, to the path or open text stream target. The text is formed
+    before target is opened, so a payload that JSON cannot hold (NaN or an
+    infinity among them) raises ValueError and leaves target untouched."""
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if hasattr(target, "write"):
+        target.write(text)
+        return
+    with open(target, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def save_frame(frame: Frame, path: str | os.PathLike) -> None:
     """Write a frame as JSON; floats round-trip exactly (shortest repr)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(frame_to_dict(frame), fh, indent=2)
-        fh.write("\n")
+    _write_json(frame_to_dict(frame), path)
 
 
 def load_frame(path: str | os.PathLike) -> Frame:

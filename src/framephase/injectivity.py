@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import REAL, Frame, analysis_matrix, encode_vector
-from .linalg import DEFAULT_TOL, Tolerance, null_space, rank
+from .linalg import DEFAULT_TOL, Tolerance, _norm, null_space, rank
 from .magnitude import SignPattern, canonical_ray, magnitude_map, ray_equal
 
 __all__ = [
@@ -74,7 +74,7 @@ def verify_witness(frame: Frame, x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     Tolerance.null_leak of _null_pair's null vectors at rank_eps."""
     a = magnitude_map(frame, x)
     b = magnitude_map(frame, y)
-    if np.linalg.norm(a - b) > tol.residual_bound(a, b) + tol.null_leak(frame.vectors, x, y):
+    if _norm(a - b) > tol.residual_bound(a, b) + tol.null_leak(frame.vectors, x, y):
         return False
     return not ray_equal(x, y, tol)
 

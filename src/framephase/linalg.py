@@ -5,11 +5,14 @@ scale. Every numerical decision is relative, and Tolerance holds each rule:
 a singular value counts if it exceeds ``rank_eps`` times the largest one,
 and a residual counts as zero if it is at most ``residual_eps`` times the
 norm of what it is measured against. So scaling never changes a rank or a
-verdict, and exactly-zero input accepts only an exact fit.
+verdict, and exactly-zero input accepts only an exact fit. Those norms come
+from _norm, which stays exact where np.linalg.norm's squares would over- or
+underflow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,17 +43,50 @@ class Tolerance:
         """Largest accepted residual against the given vectors (or matrices,
         by Frobenius norm): residual_eps times the largest of their norms.
         It is 0 when they are all zero, so then only an exact fit passes."""
-        return self.residual_eps * max(float(np.linalg.norm(v)) for v in vectors)
+        return self.residual_eps * max(_norm(v) for v in vectors)
 
     def null_leak(self, t, *vectors) -> float:
         """Most by which the magnitudes under the matrix t of a witness
         built from null vectors decided at rank_eps can disagree: 2
         rank_eps ||t||_2 times the largest of the vectors' norms."""
         sigma_1 = float(np.linalg.svd(t, compute_uv=False)[0])  # norm(t, 2) at half the cost
-        return 2.0 * self.rank_eps * sigma_1 * max(float(np.linalg.norm(v)) for v in vectors)
+        return 2.0 * self.rank_eps * sigma_1 * max(_norm(v) for v in vectors)
 
 
 DEFAULT_TOL = Tolerance()
+
+# np.linalg.norm sums squares, which over- or underflow once the norm
+# leaves about 2^-511 to 2^511; inside this range it is correctly scaled.
+_NORM_RANGE = (2.0**-500, 2.0**500)
+
+
+def _ldexp(v, e: int) -> np.ndarray:
+    """v * 2^e for a real or complex array, exact while the result is a
+    normal float, also where 2^e alone is not a float."""
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        v = np.ascontiguousarray(v, dtype=np.complex128)
+        return np.ldexp(v.view(np.float64), e).view(np.complex128)
+    return np.ldexp(v, e)
+
+
+def _exponent(v) -> int:
+    """The frexp exponent e of the largest modulus in v, so v * 2^-e has
+    entries of modulus below 1 and at least one of 1/2 or more; 0 for
+    an all-zero or empty v."""
+    v = np.abs(np.asarray(v))
+    return math.frexp(float(v.max()))[1] if v.size else 0
+
+
+def _norm(v) -> float:
+    """np.linalg.norm(v) (Frobenius for a matrix), recomputed at the
+    power-of-two scale of _exponent when it leaves _NORM_RANGE, so it is
+    neither inf nor 0 while the true norm is a nonzero normal float."""
+    r = float(np.linalg.norm(v))
+    if _NORM_RANGE[0] <= r <= _NORM_RANGE[1]:
+        return r
+    e = _exponent(v)
+    return float(np.ldexp(np.linalg.norm(_ldexp(v, -e)), e))
 
 
 def _as_finite(a, ndim: int, what: str) -> np.ndarray:
@@ -104,15 +140,6 @@ def null_space(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return np.eye(n_cols, dtype=arr.dtype)
     _, s, vh = np.linalg.svd(arr, full_matrices=True)
     return vh[_numerical_rank(s, tol):].conj().T
-
-
-def column_space(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of ``a``."""
-    arr = as_matrix(a)
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError("column_space needs a nonempty matrix")
-    u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    return u[:, : _numerical_rank(s, tol)]
 
 
 class LeastSquares(NamedTuple):

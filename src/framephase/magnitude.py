@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import REAL, Frame, analysis, decode_count, decode_vector
-from .linalg import DEFAULT_TOL, Tolerance
+from .frames import REAL, Frame, _write_json, analysis, decode_count, decode_vector
+from .linalg import _NORM_RANGE, DEFAULT_TOL, Tolerance, _exponent, _ldexp
 
 __all__ = [
     "SignPattern",
@@ -51,25 +51,36 @@ def canonical_ray(x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return arr
 
 
+def _ray_gap(x: np.ndarray, y: np.ndarray) -> float:
+    """min over unimodular c of ||x - c*y||, at c = <x, y>/|<x, y>| (any c
+    when the inner product vanishes)."""
+    if np.iscomplexobj(x) or np.iscomplexobj(y):
+        ip = np.vdot(y, x)  # = <x, y>
+        c = ip / abs(ip) if abs(ip) > 0.0 else 1.0
+        return float(np.linalg.norm(x - c * y))
+    return min(float(np.linalg.norm(x - y)), float(np.linalg.norm(x + y)))
+
+
 def ray_equal(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether x and y generate the same ray.
 
     Tests min over unimodular c of ||x - c*y|| against
     Tolerance.residual_bound(x, y), residual_eps * max(||x||, ||y||), so
-    the zero ray equals only itself. The minimizing c is <x, y>/|<x, y>|
-    (and any c when the inner product vanishes).
+    the zero ray equals only itself. A gap outside _NORM_RANGE may come
+    from squares or an inner product that over- or underflowed, so it is
+    measured again with x and y scaled by one power of two, which changes
+    neither ray nor the verdict.
     """
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if np.iscomplexobj(x) or np.iscomplexobj(y):
-        ip = np.vdot(y, x)  # = <x, y>
-        c = ip / abs(ip) if abs(ip) > 0.0 else 1.0
-        dist = float(np.linalg.norm(x - c * y))
-    else:
-        dist = min(float(np.linalg.norm(x - y)), float(np.linalg.norm(x + y)))
-    return dist <= tol.residual_bound(x, y)
+    gap = _ray_gap(x, y)
+    if not _NORM_RANGE[0] <= gap <= _NORM_RANGE[1]:
+        e = max(_exponent(x), _exponent(y))
+        x, y = _ldexp(x, -e), _ldexp(y, -e)
+        gap = _ray_gap(x, y)
+    return gap <= tol.residual_bound(x, y)
 
 
 @dataclass(frozen=True)
@@ -134,11 +145,7 @@ def measurement_from_dict(data: dict) -> np.ndarray:
 
 
 def save_measurement(magnitudes, path: str | os.PathLike) -> None:
-    # Validate before opening, so bad magnitudes leave the file untouched.
-    data = measurement_to_dict(magnitudes)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    _write_json(measurement_to_dict(magnitudes), path)
 
 
 def load_measurement(path: str | os.PathLike) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .frames import COMPLEX, REAL, Frame, analysis_matrix, coefficient_range, encode_vector
-from .linalg import DEFAULT_TOL, Tolerance, least_squares
+from .linalg import DEFAULT_TOL, Tolerance, _exponent, _ldexp, least_squares
 from .magnitude import as_magnitudes, canonical_ray, magnitude_map, ray_equal
 
 __all__ = [
@@ -144,6 +144,23 @@ def _finalize(
     )
 
 
+def _rescaled(result: ReconstructionResult, e: int) -> ReconstructionResult:
+    """The result for magnitudes 2^e a from the result for a: the magnitude
+    map is homogeneous, so rays, residuals and best_residual scale by 2^e.
+
+    Each solver runs at a * 2^-e, e = _exponent(a), where no square of a
+    magnitude, and no LM loss of order a^4, over- or underflows. Scaling
+    by a power of two is exact, so wherever solving a directly did not over-
+    or underflow either, the result is bitwise the same.
+    """
+    if e:
+        result.rays = [_ldexp(r, e) for r in result.rays]
+        result.residuals = [float(np.ldexp(r, e)) for r in result.residuals]
+        if result.best_residual is not None:
+            result.best_residual = float(np.ldexp(result.best_residual, e))
+    return result
+
+
 def _pivot_block(t_ord: np.ndarray, n: int) -> np.ndarray:
     """Sorted indices of n rows of t_ord that form an invertible block.
 
@@ -213,6 +230,8 @@ def reconstruct_real(
     if frame.field != REAL:
         raise ValueError("reconstruct_real requires a real frame")
     a = as_magnitudes(magnitudes, frame.m)
+    e = _exponent(a)
+    a = _ldexp(a, -e)  # solved at max(a) in [1/2, 1); see _rescaled
     threshold = tol.residual_bound(a)
 
     order = np.argsort(-a, kind="stable")
@@ -266,7 +285,7 @@ def reconstruct_real(
         sol = least_squares(t_ord, np.array(pattern) * a_ord, tol)
         if sol.residual <= threshold:
             solutions.append(sol.x)
-    return _finalize(frame, a, solutions, tol, patterns_explored=nodes)
+    return _rescaled(_finalize(frame, a, solutions, tol, patterns_explored=nodes), e)
 
 
 def error_reduction(
@@ -402,6 +421,8 @@ def reconstruct_complex(
     a = as_magnitudes(magnitudes, frame.m)
     if not a.any():
         return _finalize(frame, a, [np.zeros(frame.n, dtype=np.complex128)], tol)
+    e = _exponent(a)
+    a = _ldexp(a, -e)  # solved at max(a) in [1/2, 1); see _rescaled
     threshold = tol.residual_bound(a)
     basis = coefficient_range(frame, tol)
     t = analysis_matrix(frame)
@@ -419,10 +440,11 @@ def reconstruct_complex(
                 frame, a, [least_squares(t, c, tol).x], tol, restarts_used=attempt + 1
             )
             if found.rays:
-                return found
-    return ReconstructionResult(
+                return _rescaled(found, e)
+    failed = ReconstructionResult(
         STATUS_HEURISTIC_FAIL, restarts_used=restarts, best_residual=best_overall
     )
+    return _rescaled(failed, e)
 
 
 def result_to_dict(result: ReconstructionResult, field: str) -> dict:

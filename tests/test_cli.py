@@ -345,6 +345,21 @@ def test_reconstruct_rejects_an_infinite_tolerance(tmp_path):
     assert "residual_eps must be positive" in err
 
 
+def test_reconstruct_at_a_rank_eps_where_the_frame_loses_rank_is_an_error(tmp_path):
+    # Singular values 1 and 1e-5: a complex frame at the default rank_eps,
+    # of rank 1 at --rank-eps 1e-4, so the coefficient range has no basis.
+    frame, meas = tmp_path / "f.json", tmp_path / "a.json"
+    rng = np.random.default_rng(3)
+    u, _, vh = np.linalg.svd(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)),
+                             full_matrices=False)
+    save_frame(Frame("complex", (u * np.array([1.0, 1e-5])) @ vh), frame)
+    assert run_cli("measure", str(frame), "--x", "1+1j,-2", "--out", str(meas))[0] == 0
+    assert run_cli("reconstruct", str(frame), str(meas))[0] == 0
+    code, out, err = run_cli("reconstruct", str(frame), str(meas), "--rank-eps", "1e-4")
+    assert code == 1 and out == b""
+    assert "numerically singular" in err
+
+
 def test_frame_file_without_vectors_is_error(tmp_path):
     frame = tmp_path / "empty.json"
     frame.write_text(json.dumps({"field": "real", "n": 2, "m": 0, "vectors": []}))

@@ -7,7 +7,9 @@ from framephase import cli, experiments
 from framephase.frames import REAL, decode_vector, gen_random
 from framephase.experiments import (
     CSV_HEADER,
+    CellResult,
     ExperimentConfig,
+    ExperimentReport,
     run_complex_genericity,
     run_dense_interior_real,
     run_equivalence_invariance,
@@ -225,3 +227,12 @@ def test_json_report_omits_timing(tmp_path):
     assert list(data) == ["config", "cells", "witnesses"]
     assert data["witnesses"] == report.witnesses
     assert all(cell["mean_ms"] is None for cell in data["cells"])
+
+
+def test_write_report_json_refuses_a_nan_and_keeps_the_old_report(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"old\n")
+    cell = CellResult(REAL, 2, 3, 1, float("nan"), None, None, 0)
+    with pytest.raises(ValueError):
+        write_report_json(ExperimentReport({}, [cell]), path)
+    assert path.read_bytes() == b"old\n"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ from framephase.frames import (
     COMPLEX,
     REAL,
     Frame,
+    _write_json,
     analysis,
     apply_invertible,
     canonical_dual,
@@ -23,6 +26,7 @@ from framephase.frames import (
     load_frame,
     save_frame,
 )
+from framephase.linalg import Tolerance
 
 import oracles
 
@@ -162,6 +166,19 @@ def test_coefficient_range_hand_case():
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_coefficient_range_applies_the_rank_rule_at_its_tolerance(field):
+    # Singular values 1 and 1e-5: a frame at the default rank_eps, but of
+    # rank 1 at rank_eps 1e-4, where the range has no N-column basis.
+    u, _, vh = np.linalg.svd(gen_random(field, 2, 4, seed=3).vectors, full_matrices=False)
+    f = Frame(field, (u * np.array([1.0, 1e-5])) @ vh)
+    b = coefficient_range(f)
+    assert b.shape == (4, 2)
+    npt.assert_allclose(b.conj().T @ b, np.eye(2), atol=1e-12)
+    with pytest.raises(ValueError, match="numerically singular"):
+        coefficient_range(f, Tolerance(rank_eps=1e-4))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_apply_invertible_relabels_coefficients(field):
     f = gen_random(field, 3, 6, seed=4)
     rng = np.random.default_rng(5)
@@ -297,3 +314,15 @@ def test_frame_from_dict_validation(tmp_path):
     path.write_text("[1, 2, 3]\n")
     with pytest.raises(ValueError):
         load_frame(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_writer_rejects_non_json_numbers_and_leaves_the_file_untouched(bad, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"kept": 1}\n')
+    with pytest.raises(ValueError):
+        _write_json({"x": [1.0, bad]}, path)
+    assert path.read_bytes() == b'{"kept": 1}\n'
+    # A JSON payload gets the bytes of json.dump at indent 2 and a newline.
+    _write_json({"x": [1.0, 0.5]}, path)
+    assert path.read_text(encoding="utf-8") == json.dumps({"x": [1.0, 0.5]}, indent=2) + "\n"

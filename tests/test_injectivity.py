@@ -481,3 +481,15 @@ def test_verify_witness_rejects_a_relative_magnitude_mismatch(seed, log_c, ill):
     a, b = magnitude_map(f, x), magnitude_map(f, (1.0 + 1e-6) * y)
     assert np.linalg.norm(a - b) == pytest.approx(1e-6 * np.linalg.norm(a), rel=1e-3)
     assert not verify_witness(f, x, (1.0 + 1e-6) * y)
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_verify_witness_keeps_its_bound_where_norms_over_or_underflow(k):
+    # At frame scale 2^600 an unscaled norm of the magnitudes is inf, and at
+    # 2^-600 it is 0, so every pair would pass as a witness.
+    f = Frame(REAL, 2.0**k * gen_random(REAL, 3, 4, seed=2).vectors)
+    e1, e2, _ = np.eye(3)
+    assert not verify_witness(f, e1, e2)
+    cert = certify(f)
+    assert cert.verdict == VERDICT_NOT_INJECTIVE
+    assert verify_witness(f, *cert.witness)

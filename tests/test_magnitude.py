@@ -64,6 +64,18 @@ def test_ray_equal_real_and_complex():
         ray_equal(x, np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("k", [540, -540])
+def test_ray_equal_holds_where_squares_over_or_underflow(k):
+    # At 2^540 the squares overflow and at 2^-540 they underflow, so an
+    # unscaled norm reads inf or 0 and the bound says nothing.
+    s = 2.0**k
+    assert not ray_equal(s * np.array([1.0, 2.0]), s * np.array([2.0, 1.0]))
+    assert ray_equal(s * np.array([1.0, -2.0]), s * np.array([-1.0, 2.0]))
+    z = np.array([1.0 + 2j, -0.5 + 1j])
+    assert ray_equal(s * z, s * 1j * z)
+    assert not ray_equal(s * z, s * np.conj(z))
+
+
 def test_ray_equal_ignores_scale_threshold_only():
     # Same direction, different lengths: these are different rays only if
     # length differs beyond tolerance; rays here are sets {cx : |c| = 1}.

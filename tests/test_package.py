@@ -11,7 +11,7 @@ MODULES = ("linalg", "frames", "magnitude", "injectivity", "reconstruct", "exper
 
 # Public in their modules, but not part of the package's exports.
 UNEXPORTED = {
-    "linalg": ("LeastSquares", "rank", "null_space", "column_space", "least_squares"),
+    "linalg": ("LeastSquares", "rank", "null_space", "least_squares"),
     "frames": ("encode_vector", "decode_vector"),
     "magnitude": ("MAGNITUDE_KEYS",),
     "experiments": ("M_RULES", "CSV_HEADER", "report_to_dict"),

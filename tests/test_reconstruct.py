@@ -262,9 +262,37 @@ def test_block_search_matches_exhaustive_search(seed, n, extra, case):
         assert any(oracles.same_ray(r, s) for s in result.rays)
 
 
+def _times_pow2(v, k):
+    """v * 2^k, exact for real or complex v whose result stays normal."""
+    if np.iscomplexobj(v):
+        return np.ldexp(v.real, k) + 1j * np.ldexp(v.imag, k)
+    return np.ldexp(v, k)
+
+
+def _assert_scaled_bitwise(scaled, base, k):
+    # A power of two scales exactly, so the result at 2^k a must be 2^k
+    # times the result at a, bit for bit, over the whole float range.
+    assert scaled.status == base.status
+    assert scaled.patterns_explored == base.patterns_explored
+    assert scaled.restarts_used == base.restarts_used
+    assert len(scaled.rays) == len(base.rays)
+    for r, s in zip(base.rays, scaled.rays):
+        assert np.array_equal(s, _times_pow2(r, k))
+    assert scaled.residuals == [float(np.ldexp(r, k)) for r in base.residuals]
+    if base.best_residual is None:
+        assert scaled.best_residual is None
+    else:
+        assert scaled.best_residual == float(np.ldexp(base.best_residual, k))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([5, 7]), log_c=st.floats(-12.0, 12.0))
-def test_reconstruct_real_rays_scale_with_the_magnitudes(seed, m, log_c):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([5, 7]),
+    log_c=st.floats(-12.0, 12.0),
+    k=st.integers(-900, 900),
+)
+def test_reconstruct_real_rays_scale_with_the_magnitudes(seed, m, log_c, k):
     # The magnitude map is homogeneous, so scaling the magnitudes by c must
     # scale every recovered ray by c and keep the status (M=5 is ambiguous).
     f = gen_random(REAL, 4, m, seed=seed)
@@ -275,22 +303,25 @@ def test_reconstruct_real_rays_scale_with_the_magnitudes(seed, m, log_c):
     assert len(scaled.rays) == len(base.rays)
     for r, s in zip(base.rays, scaled.rays):
         assert np.linalg.norm(s - c * r) <= 1e-9 * c * np.linalg.norm(r)
+    _assert_scaled_bitwise(reconstruct_real(f, np.ldexp(a, k)), base, k)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-12.0, 12.0))
-def test_reconstruct_complex_rays_scale_with_the_magnitudes(seed, log_c):
+@given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-12.0, 12.0), k=st.integers(-900, 900))
+def test_reconstruct_complex_rays_scale_with_the_magnitudes(seed, log_c, k):
     f = gen_random(COMPLEX, 3, 10, seed=seed)
     rng = np.random.default_rng(seed)
     a = magnitude_map(f, rng.standard_normal(3) + 1j * rng.standard_normal(3))
     c = 10.0**log_c
-    base, scaled = (
-        reconstruct_complex(f, b, restarts=5, max_iters=200, seed=seed) for b in (a, c * a)
+    base, scaled, pow2 = (
+        reconstruct_complex(f, b, restarts=5, max_iters=200, seed=seed)
+        for b in (a, c * a, np.ldexp(a, k))
     )
     assert scaled.status == base.status
     assert len(scaled.rays) == len(base.rays)
     for r, s in zip(base.rays, scaled.rays):
         assert np.linalg.norm(s - c * r) <= 1e-6 * c * np.linalg.norm(r)
+    _assert_scaled_bitwise(pow2, base, k)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
