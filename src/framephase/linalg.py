@@ -7,7 +7,8 @@ and a residual counts as zero if it is at most ``residual_eps`` times the
 norm of what it is measured against. So scaling never changes a rank or a
 verdict, and exactly-zero input accepts only an exact fit. Those norms come
 from _norm, which stays exact where np.linalg.norm's squares would over- or
-underflow.
+underflow. The package calls rank, null_space and least_squares; a frame's
+analysis matrix is factored by frames._analysis_svd, not here.
 """
 
 from __future__ import annotations
