@@ -19,6 +19,8 @@ and NecessaryConditionsPass (complex, no obstruction found).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,16 @@ _MAX_VECTORS = 24
 # complement_property screens the splits in blocks of 64 masks that double
 # up to this many; larger blocks cost memory and save no time.
 _SCREEN_BLOCK = 512
+
+# Once complement_property has its superset table, its blocks double up to
+# this many splits, most of which cost two table lookups each.
+_TABLE_BLOCK = 1 << 16
+
+# complement_property builds its superset table, C(M, N) Gram matrices,
+# once its per-side screen has formed this share of that many: a frame
+# that fails sooner never pays for the table, and an injective one pays
+# about 1 + _TABLE_SHARE times it.
+_TABLE_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -141,6 +153,34 @@ def _not_injective(
     )
 
 
+def _gram_eigenvalues(sides: np.ndarray, outer_flat: np.ndarray, dtype, n: int) -> np.ndarray:
+    """Ascending eigenvalues of the Gram matrix of each boolean row of
+    sides, one batched eigvalsh over a 0/1 selection of the stacked outer
+    products outer_flat (of entry type dtype, viewed as float pairs)."""
+    # The Gram stack is a temporary, so two calls' stacks never coexist.
+    gram = (sides.astype(np.float64) @ outer_flat).view(dtype).reshape(-1, n, n)
+    return np.linalg.eigvalsh(gram)
+
+
+def _spanning_table(outer_flat: np.ndarray, dtype, m: int, n: int, bound: float) -> np.ndarray:
+    """Bool table over the 2^M subset masks: True where the subset holds N
+    vectors whose Gram matrix has its smallest eigenvalue above bound.
+
+    The N-subsets are screened in blocks of 2 * _SCREEN_BLOCK, the sides
+    of one split block; then one pass per bit ORs each mask without that
+    bit into the mask with it, which closes the table upward."""
+    table = np.zeros(1 << m, dtype=bool)
+    subsets = itertools.combinations(range(m), n)
+    while chunk := list(itertools.islice(subsets, 2 * _SCREEN_BLOCK)):
+        masks = (1 << np.array(chunk)).sum(axis=1)
+        rows = (masks[:, None] & (1 << np.arange(m))) != 0
+        table[masks] = _gram_eigenvalues(rows, outer_flat, dtype, n)[:, 0] > bound
+    for i in range(m):
+        view = table.reshape(-1, 2, 1 << i)
+        view[:, 1] |= view[:, 0]
+    return table
+
+
 def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> InjectivityCertificate:
     """Check every subset/complement pair for the spanning condition.
 
@@ -152,16 +192,17 @@ def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Injectivi
     NecessaryConditionsPass for complex ones (where the condition is
     necessary but not sufficient).
 
-    The splits are walked in blocks of 64 that double up to _SCREEN_BLOCK.
-    Each block's sides are boolean rows (S, then every complement); a 0/1
-    selection of the stacked outer products conj(f_i) f_i^T gives all their
-    Gram matrices, and one batched eigvalsh screens them. Only the splits
-    whose sides the screen leaves undecided get the rank test, S side
-    first, so the verdict, failing subset, witness and count are those of
-    the rank test on every split. The screen accepts a side as spanning
-    when the smallest eigenvalue of its Gram matrix exceeds theta times its
-    trace, with theta = max(4 rank_eps^2, 1e-12). That is safe: the trace is
-    at least sigma_1^2 and lambda_min is sigma_N^2, so an accepted side has
+    The per-side screen. The splits are walked in blocks of 64 that double
+    up to _SCREEN_BLOCK. Each block's sides are boolean rows (S, then every
+    complement); a 0/1 selection of the stacked outer products
+    conj(f_i) f_i^T gives all their Gram matrices, and one batched eigvalsh
+    screens them. Only the splits whose sides the screen leaves undecided
+    get the rank test, S side first, so the verdict, failing subset,
+    witness and count are those of the rank test on every split. The
+    screen accepts a side as spanning when the smallest eigenvalue of its
+    Gram matrix exceeds theta times its trace, with
+    theta = max(4 rank_eps^2, 1e-12). That is safe: the trace is at least
+    sigma_1^2 and lambda_min is sigma_N^2, so an accepted side has
     sigma_N / sigma_1 >= 2 rank_eps, and rank() counts all N of its
     singular values. eigvalsh and forming the Gram matrix err by about
     N M u times the trace (u the unit roundoff, M <= 24), far below the
@@ -170,6 +211,30 @@ def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Injectivi
     underflow cannot fake a margin. Since lambda_min <= trace / N, the
     screen is skipped when theta >= 1/N, and the rank test decides every
     split.
+
+    The superset table. A side spans when it holds a spanning N-subset,
+    and there are only C(M, N) of those against 2^M sides. The table
+    (_spanning_table) marks every subset mask that holds an N-subset B
+    with lambda_min(G_B) > max(theta tr(G), tiny), G the Gram matrix of
+    the whole scaled frame. That meets the per-side screen's margin: for
+    B inside a side A, G_A - G_B is a sum of outer products, so G_A >= G_B
+    and lambda_min(G_A) >= lambda_min(G_B) > theta tr(G) >= theta tr(G_A),
+    and the rounding argument above carries over. Once the table exists,
+    each block (doubling up to _TABLE_BLOCK) drops by lookups alone the
+    splits with a side in the table; the rest go through the per-side
+    screen and the rank test as before, in chunks of _SCREEN_BLOCK and in
+    ascending order. So the table only removes splits from that path:
+    every output is unchanged, and the rank tests never outnumber the
+    walk's without it.
+
+    When to build it. The table costs C(M, N) Gram matrices, so it is
+    built at the first block boundary where the per-side screen has formed
+    at least _TABLE_SHARE times C(M, N) of them and fewer than C(M, N)
+    sides are left to walk. A frame that fails before then costs what the
+    per-side screen costs; one that fails just after costs at most about
+    1 + 1/_TABLE_SHARE times the screening up to the switch, plus the
+    table's upward closure; an injective frame costs about 1 + _TABLE_SHARE
+    times the table, plus the lookups.
     """
     m, n = frame.m, frame.n
     if m > _MAX_VECTORS:
@@ -179,6 +244,7 @@ def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Injectivi
     vectors = frame.vectors
     pairs = 1 << (m - 1)
     theta = max(4.0 * tol.rank_eps**2, 1e-12)
+    screen = theta < 1.0 / n  # else lambda_min <= trace / N leaves nothing to accept
     scaled = vectors / np.abs(vectors).max()  # no Gram entry overflows
     outer = (scaled.conj()[:, :, None] * scaled[:, None, :]).reshape(m, n * n)
     # Complex entries as (re, im) float pairs, viewed in C order, so the 0/1
@@ -186,35 +252,52 @@ def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Injectivi
     outer_flat = np.ascontiguousarray(outer).view(np.float64)
     floor = np.finfo(np.float64).tiny
     bits = 1 << np.arange(m)
+    subsets = math.comb(m, n)
+    table = None
+    screened = 0  # Gram matrices the per-side screen has formed
     start, block = 0, 64
     while start < pairs:
-        rests = np.arange(start, min(start + block, pairs))
-        size = len(rests)
-        in_s = (((rests << 1) | 1)[:, None] & bits) != 0
-        sides = np.concatenate([in_s, ~in_s])
-        full = sides.sum(axis=1) >= n  # a side of fewer than N vectors never spans
-        spans = np.zeros(2 * size, dtype=bool)
-        if theta < 1.0 / n:  # else lambda_min <= trace / N leaves nothing to accept
-            # The Gram stack is a temporary, so two blocks' stacks never coexist.
-            lam = np.linalg.eigvalsh(
-                (sides[full].astype(np.float64) @ outer_flat).view(outer.dtype).reshape(-1, n, n)
-            )
-            spans[full] = lam[:, 0] > np.maximum(theta * lam.sum(axis=1), floor)
-        for i in np.flatnonzero(~(spans[:size] | spans[size:])).tolist():
-            if any(full[j] and rank(vectors[sides[j]], tol) >= n for j in (i, size + i)):
-                continue
-            rest = start + i
-            pattern = SignPattern((rest << 1) | 1, m)
-            return _not_injective(
-                frame,
-                witness_pair(frame, pattern, tol),
-                tol,
-                f"witness for failing subset {pattern.indices()}",
-                pattern,
-                rest + 1,
-            )
-        start += size
-        block = min(2 * block, _SCREEN_BLOCK)
+        if (
+            table is None
+            and screen
+            and screened >= _TABLE_SHARE * subsets
+            and subsets < 2 * (pairs - start)
+        ):
+            bound = max(theta * float(np.vdot(scaled, scaled).real), floor)
+            table = _spanning_table(outer_flat, outer.dtype, m, n, bound)
+            # Split r has masks 2r+1 (S) and 2^M - 2 - 2r (its complement).
+            s_spans, c_spans = table[1::2], table[-2::-2]
+        stop = min(start + block, pairs)
+        if table is None:
+            chunks = [np.arange(start, stop)]
+        else:
+            left = start + np.flatnonzero(~(s_spans[start:stop] | c_spans[start:stop]))
+            chunks = [left[i : i + _SCREEN_BLOCK] for i in range(0, len(left), _SCREEN_BLOCK)]
+        for rests in chunks:
+            size = len(rests)
+            in_s = (((rests << 1) | 1)[:, None] & bits) != 0
+            sides = np.concatenate([in_s, ~in_s])
+            full = sides.sum(axis=1) >= n  # a side of fewer than N vectors never spans
+            spans = np.zeros(2 * size, dtype=bool)
+            if screen:
+                lam = _gram_eigenvalues(sides[full], outer_flat, outer.dtype, n)
+                spans[full] = lam[:, 0] > np.maximum(theta * lam.sum(axis=1), floor)
+                screened += len(lam)
+            for i in np.flatnonzero(~(spans[:size] | spans[size:])).tolist():
+                if any(full[j] and rank(vectors[sides[j]], tol) >= n for j in (i, size + i)):
+                    continue
+                rest = int(rests[i])
+                pattern = SignPattern((rest << 1) | 1, m)
+                return _not_injective(
+                    frame,
+                    witness_pair(frame, pattern, tol),
+                    tol,
+                    f"witness for failing subset {pattern.indices()}",
+                    pattern,
+                    rest + 1,
+                )
+        start = stop
+        block = min(2 * block, _SCREEN_BLOCK if table is None else _TABLE_BLOCK)
     verdict = VERDICT_INJECTIVE if frame.field == REAL else VERDICT_NECESSARY
     return InjectivityCertificate(
         verdict=verdict, failing_subset=None, witness=None, checked_subsets=pairs

@@ -83,7 +83,8 @@ def _norm(v) -> float:
     """np.linalg.norm(v) (Frobenius for a matrix), recomputed at the
     power-of-two scale of _exponent when it leaves _NORM_RANGE, so it is
     neither inf nor 0 while the true norm is a nonzero normal float."""
-    r = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # an overflowed square is caught below
+        r = float(np.linalg.norm(v))
     if _NORM_RANGE[0] <= r <= _NORM_RANGE[1]:
         return r
     e = _exponent(v)

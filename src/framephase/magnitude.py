@@ -75,7 +75,8 @@ def ray_equal(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     y = np.asarray(y)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    gap = _ray_gap(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the range test
+        gap = _ray_gap(x, y)
     if not _NORM_RANGE[0] <= gap <= _NORM_RANGE[1]:
         e = max(_exponent(x), _exponent(y))
         x, y = _ldexp(x, -e), _ldexp(y, -e)

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -483,13 +485,107 @@ def test_verify_witness_rejects_a_relative_magnitude_mismatch(seed, log_c, ill):
     assert not verify_witness(f, x, (1.0 + 1e-6) * y)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("k", [600, -600])
 def test_verify_witness_keeps_its_bound_where_norms_over_or_underflow(k):
     # At frame scale 2^600 an unscaled norm of the magnitudes is inf, and at
-    # 2^-600 it is 0, so every pair would pass as a witness.
+    # 2^-600 it is 0, so every pair would pass as a witness. Neither may
+    # print a numpy warning on the way to the right answer.
     f = Frame(REAL, 2.0**k * gen_random(REAL, 3, 4, seed=2).vectors)
     e1, e2, _ = np.eye(3)
     assert not verify_witness(f, e1, e2)
     cert = certify(f)
     assert cert.verdict == VERDICT_NOT_INJECTIVE
     assert verify_witness(f, *cert.witness)
+
+
+def _screen_costs(frame, tol=Tolerance()):
+    """complement_property's certificate, with the Gram matrices its
+    eigvalsh helper formed, its rank calls and its superset tables built."""
+    costs = {"gram": 0, "rank": 0, "tables": 0}
+    gram_eigenvalues, spanning_table = injectivity._gram_eigenvalues, injectivity._spanning_table
+
+    def counting_gram(sides, *args):
+        costs["gram"] += len(sides)
+        return gram_eigenvalues(sides, *args)
+
+    def counting_rank(a, tol):
+        costs["rank"] += 1
+        return rank(a, tol)
+
+    def counting_table(*args):
+        costs["tables"] += 1
+        return spanning_table(*args)
+
+    with (
+        patch.object(injectivity, "_gram_eigenvalues", counting_gram),
+        patch.object(injectivity, "rank", counting_rank),
+        patch.object(injectivity, "_spanning_table", counting_table),
+    ):
+        cert = complement_property(frame, tol)
+    return cert, costs
+
+
+@pytest.mark.parametrize("field, n", [(REAL, 3), (REAL, 4), (COMPLEX, 4)])
+def test_tall_frames_screen_each_n_subset_once(field, n):
+    # Per side, the walk would form a Gram matrix for nearly every one of
+    # the 2^14 sides; the superset table forms one per N-subset, after the
+    # per-side screen has formed about an eighth of that many.
+    m = 14
+    cert, costs = _screen_costs(gen_random(field, n, m, seed=11))
+    assert cert.verdict == (VERDICT_INJECTIVE if field == REAL else VERDICT_NECESSARY)
+    assert cert.checked_subsets == 2 ** (m - 1)
+    subsets = math.comb(m, n)
+    assert costs["tables"] == 1
+    assert costs["gram"] <= subsets + subsets / 8 + 2 * injectivity._SCREEN_BLOCK
+    assert costs["rank"] == 0
+
+
+def test_a_frame_that_fails_in_the_first_block_builds_no_table():
+    # This (8, 20) Gabor frame fails within the walk's first 64 splits,
+    # long before C(20, 8) = 125,970 N-subsets would pay off.
+    f = gen_windowed_fourier(np.ones(4), 8, 1, 4)
+    assert (f.n, f.m) == (8, 20)
+    cert, costs = _screen_costs(f)
+    assert cert.verdict == VERDICT_NOT_INJECTIVE
+    first_block = sum(
+        (k >= 8) + (20 - k >= 8) for k in (((r << 1) | 1).bit_count() for r in range(64))
+    )
+    assert costs["tables"] == 0
+    assert costs["gram"] <= first_block
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from([REAL, COMPLEX]),
+    n=st.integers(2, 4),
+    extra=st.integers(6, 10),
+    case=st.sampled_from(_FRAME_CASES),
+    rank_eps=st.sampled_from([1e-10, 1e-6, 1e-3]),
+)
+def test_the_superset_table_adds_no_rank_test(seed, field, n, extra, case, rank_eps):
+    # The same walk with the table never built is the per-side screen alone.
+    frame = _frame_case(seed, field, n, n + extra, case)
+    assume(frame is not None)
+    tol = Tolerance(rank_eps=rank_eps)
+    cert, costs = _screen_costs(frame, tol)
+    with patch.object(injectivity, "_TABLE_SHARE", math.inf):
+        per_side, costs_per_side = _screen_costs(frame, tol)
+    assert costs_per_side["tables"] == 0
+    assert certificate_to_dict(cert, frame.field) == certificate_to_dict(per_side, frame.field)
+    assert costs["rank"] <= costs_per_side["rank"]
+
+
+def test_certify_at_the_enumeration_budget_fits_its_table_in_memory():
+    # 2^24 bool table entries are 16 MiB; the block temporaries add little.
+    f = gen_random(REAL, 3, 24, seed=5)
+    tracemalloc.start()
+    try:
+        cert = certify(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == VERDICT_INJECTIVE
+    assert cert.checked_subsets == 2**23
+    assert peak < 48 * 2**20

@@ -64,10 +64,12 @@ def test_ray_equal_real_and_complex():
         ray_equal(x, np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("k", [540, -540])
 def test_ray_equal_holds_where_squares_over_or_underflow(k):
     # At 2^540 the squares overflow and at 2^-540 they underflow, so an
-    # unscaled norm reads inf or 0 and the bound says nothing.
+    # unscaled norm reads inf or 0 and the bound says nothing. Neither may
+    # print a numpy warning on the way to the right answer.
     s = 2.0**k
     assert not ray_equal(s * np.array([1.0, 2.0]), s * np.array([2.0, 1.0]))
     assert ray_equal(s * np.array([1.0, -2.0]), s * np.array([-1.0, 2.0]))
