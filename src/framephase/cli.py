@@ -61,20 +61,18 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _check_threads_env() -> int | None:
-    """Validate the parallelism cap. The computation itself is sequential,
-    which satisfies any cap of at least one worker."""
+def _check_threads_env() -> None:
+    """Warn about an invalid parallelism cap. The computation itself is
+    sequential, which satisfies any cap of at least one worker."""
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
-        return None
+        return
     try:
         value = int(raw)
     except ValueError:
         value = 0
     if value < 1:
         _info(f"warning: ignoring invalid {THREADS_ENV}={raw!r} (need an int >= 1)")
-        return None
-    return value
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:

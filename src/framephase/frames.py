@@ -78,7 +78,7 @@ class Frame:
             raise ValueError("frame dimension must be at least 1")
         if m < n:
             raise ValueError(f"frame needs at least N={n} vectors, got M={m}")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("frame vectors must be finite")
         if rank(arr) < n:
             raise ValueError("vectors do not span the space; not a frame")
@@ -186,16 +186,12 @@ def apply_invertible(frame: Frame, r) -> Frame:
 _MIN_GAP = 1e-6
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def gen_random(field: str, n: int, m: int, seed=0) -> Frame:
     """Random frame with i.i.d. standard Gaussian entries (resampled in the
     probability-zero event that the sample does not span)."""
     if m < n or n < 1:
         raise ValueError(f"need M >= N >= 1, got N={n}, M={m}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(64):
         vectors = rng.standard_normal((m, n))
         if field == COMPLEX:
@@ -218,7 +214,7 @@ def gen_full_spark(field: str, n: int, m: int, seed=0) -> Frame:
         raise ValueError(f"need M >= N >= 1, got N={n}, M={m}")
     dtype = np.complex128 if field == COMPLEX else np.float64
     chosen = [np.eye(n, dtype=dtype)[i] for i in range(n)]
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     while len(chosen) < m:
         accepted = None
         for _ in range(256):

@@ -215,11 +215,13 @@ def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Injectivi
     The superset table. A side spans when it holds a spanning N-subset,
     and there are only C(M, N) of those against 2^M sides. The table
     (_spanning_table) marks every subset mask that holds an N-subset B
-    with lambda_min(G_B) > max(theta tr(G), tiny), G the Gram matrix of
-    the whole scaled frame. That meets the per-side screen's margin: for
-    B inside a side A, G_A - G_B is a sum of outer products, so G_A >= G_B
-    and lambda_min(G_A) >= lambda_min(G_B) > theta tr(G) >= theta tr(G_A),
-    and the rounding argument above carries over. Once the table exists,
+    with lambda_min(G_B) > theta tr(G), G the Gram matrix of the whole
+    scaled frame; its largest entry has modulus 1 up to rounding, so
+    tr(G) >= 1 - 4u and the bound is a normal float. That meets the
+    per-side screen's margin: for B inside a side A, G_A - G_B is a sum
+    of outer products, so G_A >= G_B and lambda_min(G_A) >= lambda_min(G_B)
+    > theta tr(G) >= theta tr(G_A), and the rounding argument above
+    carries over. Once the table exists,
     each block (doubling up to _TABLE_BLOCK) drops by lookups alone the
     splits with a side in the table; the rest go through the per-side
     screen and the rank test as before, in chunks of _SCREEN_BLOCK and in
@@ -229,12 +231,11 @@ def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Injectivi
 
     When to build it. The table costs C(M, N) Gram matrices, so it is
     built at the first block boundary where the per-side screen has formed
-    at least _TABLE_SHARE times C(M, N) of them and fewer than C(M, N)
-    sides are left to walk. A frame that fails before then costs what the
-    per-side screen costs; one that fails just after costs at most about
-    1 + 1/_TABLE_SHARE times the screening up to the switch, plus the
-    table's upward closure; an injective frame costs about 1 + _TABLE_SHARE
-    times the table, plus the lookups.
+    at least _TABLE_SHARE times C(M, N) of them. A frame that fails
+    before then costs what the per-side screen costs; one that fails just
+    after costs at most about 1 + 1/_TABLE_SHARE times the screening up to
+    the switch, plus the table's upward closure; an injective frame costs
+    about 1 + _TABLE_SHARE times the table, plus the lookups.
     """
     m, n = frame.m, frame.n
     if m > _MAX_VECTORS:
@@ -257,23 +258,17 @@ def complement_property(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> Injectivi
     screened = 0  # Gram matrices the per-side screen has formed
     start, block = 0, 64
     while start < pairs:
-        if (
-            table is None
-            and screen
-            and screened >= _TABLE_SHARE * subsets
-            and subsets < 2 * (pairs - start)
-        ):
-            bound = max(theta * float(np.vdot(scaled, scaled).real), floor)
+        if table is None and screen and screened >= _TABLE_SHARE * subsets:
+            bound = theta * float(np.vdot(scaled, scaled).real)
             table = _spanning_table(outer_flat, outer.dtype, m, n, bound)
             # Split r has masks 2r+1 (S) and 2^M - 2 - 2r (its complement).
             s_spans, c_spans = table[1::2], table[-2::-2]
         stop = min(start + block, pairs)
-        if table is None:
-            chunks = [np.arange(start, stop)]
-        else:
-            left = start + np.flatnonzero(~(s_spans[start:stop] | c_spans[start:stop]))
-            chunks = [left[i : i + _SCREEN_BLOCK] for i in range(0, len(left), _SCREEN_BLOCK)]
-        for rests in chunks:
+        left = np.arange(start, stop)
+        if table is not None:
+            left = left[~(s_spans[start:stop] | c_spans[start:stop])]
+        for first in range(0, len(left), _SCREEN_BLOCK):
+            rests = left[first : first + _SCREEN_BLOCK]
             size = len(rests)
             in_s = (((rests << 1) | 1)[:, None] & bits) != 0
             sides = np.concatenate([in_s, ~in_s])

@@ -44,14 +44,14 @@ class Tolerance:
         """Largest accepted residual against the given vectors (or matrices,
         by Frobenius norm): residual_eps times the largest of their norms.
         It is 0 when they are all zero, so then only an exact fit passes."""
-        return self.residual_eps * max(_norm(v) for v in vectors)
+        return self.residual_eps * _norm(*vectors)
 
     def null_leak(self, t, *vectors) -> float:
         """Most by which the magnitudes under the matrix t of a witness
         built from null vectors decided at rank_eps can disagree: 2
         rank_eps ||t||_2 times the largest of the vectors' norms."""
         sigma_1 = float(np.linalg.svd(t, compute_uv=False)[0])  # norm(t, 2) at half the cost
-        return 2.0 * self.rank_eps * sigma_1 * max(_norm(v) for v in vectors)
+        return 2.0 * self.rank_eps * sigma_1 * _norm(*vectors)
 
 
 DEFAULT_TOL = Tolerance()
@@ -79,16 +79,17 @@ def _exponent(v) -> int:
     return math.frexp(float(v.max()))[1] if v.size else 0
 
 
-def _norm(v) -> float:
-    """np.linalg.norm(v) (Frobenius for a matrix), recomputed at the
-    power-of-two scale of _exponent when it leaves _NORM_RANGE, so it is
-    neither inf nor 0 while the true norm is a nonzero normal float."""
+def _norm(*arrays) -> float:
+    """Largest np.linalg.norm of the arrays (Frobenius for a matrix), each
+    redone at _exponent's power-of-two scale when it leaves _NORM_RANGE,
+    so none is inf or 0 while the true norm is a nonzero normal float."""
     with np.errstate(over="ignore"):  # an overflowed square is caught below
-        r = float(np.linalg.norm(v))
-    if _NORM_RANGE[0] <= r <= _NORM_RANGE[1]:
-        return r
-    e = _exponent(v)
-    return float(np.ldexp(np.linalg.norm(_ldexp(v, -e)), e))
+        norms = [float(np.linalg.norm(v)) for v in arrays]
+    for i, r in enumerate(norms):
+        if not _NORM_RANGE[0] <= r <= _NORM_RANGE[1]:
+            e = _exponent(arrays[i])
+            norms[i] = float(np.ldexp(np.linalg.norm(_ldexp(arrays[i], -e)), e))
+    return max(norms)
 
 
 def _as_finite(a, ndim: int, what: str) -> np.ndarray:
@@ -96,7 +97,7 @@ def _as_finite(a, ndim: int, what: str) -> np.ndarray:
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} entries must be finite")
     return arr
 
@@ -122,8 +123,6 @@ def _numerical_rank(s: np.ndarray, tol: Tolerance) -> int:
 def rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above rank_eps * (largest one)."""
     arr = as_matrix(a)
-    if arr.size == 0:
-        return 0
     s = np.linalg.svd(arr, compute_uv=False)
     return _numerical_rank(s, tol)
 
@@ -158,9 +157,6 @@ def least_squares(a, b, tol: Tolerance = DEFAULT_TOL) -> LeastSquares:
         raise ValueError(
             f"shape mismatch: matrix has {arr.shape[0]} rows, rhs has {rhs.shape[0]}"
         )
-    if np.iscomplexobj(arr) or np.iscomplexobj(rhs):
-        arr = arr.astype(np.complex128, copy=False)
-        rhs = rhs.astype(np.complex128, copy=False)
     x = np.linalg.lstsq(arr, rhs, rcond=tol.rank_eps)[0]
     residual = float(np.linalg.norm(arr @ x - rhs))
     return LeastSquares(x, residual)

@@ -53,12 +53,10 @@ def canonical_ray(x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def _ray_gap(x: np.ndarray, y: np.ndarray) -> float:
     """min over unimodular c of ||x - c*y||, at c = <x, y>/|<x, y>| (any c
-    when the inner product vanishes)."""
-    if np.iscomplexobj(x) or np.iscomplexobj(y):
-        ip = np.vdot(y, x)  # = <x, y>
-        c = ip / abs(ip) if abs(ip) > 0.0 else 1.0
-        return float(np.linalg.norm(x - c * y))
-    return min(float(np.linalg.norm(x - y)), float(np.linalg.norm(x + y)))
+    when the inner product vanishes); c = +-1 for real x and y."""
+    ip = np.vdot(y, x)  # = <x, y>
+    c = ip / abs(ip) if abs(ip) > 0.0 else 1.0
+    return float(np.linalg.norm(x - c * y))
 
 
 def ray_equal(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -153,11 +153,10 @@ def _rescaled(result: ReconstructionResult, e: int) -> ReconstructionResult:
     by a power of two is exact, so wherever solving a directly did not over-
     or underflow either, the result is bitwise the same.
     """
-    if e:
-        result.rays = [_ldexp(r, e) for r in result.rays]
-        result.residuals = [float(np.ldexp(r, e)) for r in result.residuals]
-        if result.best_residual is not None:
-            result.best_residual = float(np.ldexp(result.best_residual, e))
+    result.rays = [_ldexp(r, e) for r in result.rays]
+    result.residuals = [float(np.ldexp(r, e)) for r in result.residuals]
+    if result.best_residual is not None:
+        result.best_residual = float(np.ldexp(result.best_residual, e))
     return result
 
 

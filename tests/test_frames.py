@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from framephase import frames
 from framephase.frames import (
     COMPLEX,
     REAL,
@@ -219,6 +221,26 @@ def test_gen_random_deterministic(field):
 def test_gen_full_spark_is_full_spark(field, n, m, seed):
     f = gen_full_spark(field, n, m, seed=seed)
     assert oracles.full_spark(f.vectors)[0]
+
+
+def test_gen_full_spark_rejects_candidates_too_close_to_a_span(monkeypatch):
+    monkeypatch.setattr(frames, "_MIN_GAP", 0.5)
+    # Unit vectors 0.5 from each other's lines lie more than 30 degrees apart.
+    f = gen_full_spark(REAL, 2, 4, seed=0)
+    for i, j in itertools.permutations(range(4), 2):
+        u, v = f.vectors[i], f.vectors[j]
+        assert np.linalg.norm(u - (u @ v) * v) > 0.5
+    # After e1 and e2, one more line fits in each of (30, 60) and (120, 150)
+    # degrees, so a fifth vector has nowhere to go.
+    with pytest.raises(RuntimeError, match="full-spark sampling failed"):
+        gen_full_spark(REAL, 2, 5, seed=0)
+
+
+def test_gen_random_rejects_an_unknown_field():
+    # gen_random tests the rank itself instead of catching Frame's
+    # ValueError, so the field error reaches the caller.
+    with pytest.raises(ValueError, match="field must be"):
+        gen_random("quaternion", 2, 3, seed=0)
 
 
 @pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 6)])

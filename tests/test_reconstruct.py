@@ -16,7 +16,7 @@ from framephase.frames import (
 )
 from framephase.linalg import DEFAULT_TOL, Tolerance, least_squares
 from framephase.injectivity import verify_witness
-from framephase.magnitude import magnitude_map, ray_equal
+from framephase.magnitude import canonical_ray, magnitude_map, ray_equal
 from framephase.reconstruct import (
     STATUS_AMBIGUOUS,
     STATUS_HEURISTIC_FAIL,
@@ -147,6 +147,35 @@ def test_pruned_search_matches_exhaustive_on_infeasible():
     status, rays = oracles.exhaustive_real_rays(f.vectors, a)
     assert result.status == status == STATUS_NO_SOLUTION
     assert rays == []
+
+
+def test_finalize_drops_repeated_rays_and_rejects_misfits():
+    f = gen_random(REAL, 3, 6, seed=8)
+    x = np.random.default_rng(8).standard_normal(3)
+    a = magnitude_map(f, x)
+    # -x is x's ray again; 2x measures 2a, which misses a.
+    result = _finalize(f, a, [x, -x, 2.0 * x], DEFAULT_TOL)
+    assert result.status == STATUS_UNIQUE
+    assert len(result.rays) == 1 and ray_equal(result.rays[0], x)
+    npt.assert_array_equal(result.rays[0], canonical_ray(x))
+
+
+def test_finalize_keeps_one_ray_per_complex_phase_class():
+    f = gen_random(COMPLEX, 2, 4, seed=9)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    result = _finalize(f, magnitude_map(f, x), [x, 1j * x], DEFAULT_TOL)
+    assert result.status == STATUS_UNIQUE
+    assert len(result.rays) == 1 and ray_equal(result.rays[0], x)
+
+
+def test_finalize_of_a_random_candidate_is_no_solution():
+    f = gen_random(REAL, 3, 6, seed=10)
+    rng = np.random.default_rng(10)
+    a = magnitude_map(f, rng.standard_normal(3))
+    result = _finalize(f, a, [rng.standard_normal(3)], DEFAULT_TOL)
+    assert result.status == STATUS_NO_SOLUTION
+    assert result.rays == [] and result.best_residual is None
 
 
 def test_oracle_same_ray_is_relative_below_unit_norm():
